@@ -103,9 +103,12 @@ def _parse_policy(spec: str) -> MemorylessPolicy:
 
 def _parse_tolerance(s: str) -> Fraction:
     try:
-        return Fraction(s)
-    except ValueError:
-        return Fraction.from_float(float(s))
+        tolerance = Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad tolerance {s!r}: {exc}") from exc
+    if tolerance <= 0:
+        raise ConfigError(f"tolerance must be positive, got {s!r}")
+    return tolerance
 
 
 def cmd_alpha(args) -> int:
@@ -269,14 +272,20 @@ def cmd_sweep(args) -> int:
         print(f"error: --k must be in 1..{SWEEP_MAX_K} for exact sweeps, got {args.k}",
               file=sys.stderr)
         return EXIT_VALIDATION
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if args.phases < 0:
+        print(f"error: --phases must be >= 0, got {args.phases}", file=sys.stderr)
+        return EXIT_VALIDATION
     specs = [tok.strip() for tok in args.grid.split(";") if tok.strip()]
     if not specs:
         print("error: empty policy grid", file=sys.stderr)
         return EXIT_VALIDATION
     payloads = [(spec, args.k, args.phases, args.seed or 0, i)
                 for i, spec in enumerate(specs)]
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
             results = list(pool.map(_sweep_cell, payloads))
     else:
         results = [_sweep_cell(p) for p in payloads]

@@ -23,15 +23,23 @@ Subsets are k-bit masks: metric i (canonical order) is bit i-1.
 
 Solving: equations are eliminated in decreasing mask order, which keeps
 fill-in tiny (each reduced row touches only a handful of "tail" subsets),
-so the exact rational solve is fast through k = 12. The iterative mode
-reuses the same elimination in float64 as a preconditioner and refines
-with exact rational residuals until the requested tolerance is met.
+so the exact rational solve runs through k = 12. The iterative mode
+factors once with the same elimination in float64, then refines by
+substitution alone, with exact integer residuals, until the requested
+tolerance is met.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import islice
+from math import lcm
+from operator import mul
+from typing import NamedTuple
 
 from .harmonic import alpha, alpha_table, rational_to_str
 
@@ -53,7 +61,14 @@ __all__ = [
 ]
 
 EXACT_MODE_MAX_K = 12
-ITERATIVE_MODE_MAX_K = 24
+# The largest k at which every iterative solve ends within about 10 s and
+# 0.6 GB, one that spends the whole 60-pass budget included. Measured on a
+# shared 2-vCPU Xeon, Python 3.11: at k = 14 uniform takes 1.4-1.8 s
+# (4 passes), random policies 2.3-3.6 s (12-18 passes) and a policy that
+# exhausts the budget 8.6-9.9 s, at a peak RSS of 83 MB. Random k = 15
+# policies need 30-37 passes and 9-10.4 s; a random k = 16 one exhausts the
+# budget in 38 s.
+ITERATIVE_MODE_MAX_K = 14
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
 
 
@@ -150,24 +165,29 @@ class SubsetSystem:
 
 
 def build_system(policy: MemorylessPolicy) -> SubsetSystem:
-    """Assemble the sparse equations for every nonempty subset."""
+    """Assemble the sparse equations for every nonempty subset.
+
+    Rows share the policy's coefficient objects; only the diagonals are
+    new. The diagonal p_m + sum_{j not in S} p_j is built from the
+    running complement sums 1 - sum_{j in S} p_j, one subtraction a mask.
+    """
     k = policy.k
     p = policy.probs
+    neg = [-q for q in p]
+    one = Fraction(1)
+    outside = [one] * (1 << k)
     rows: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
     for mask in range(1, 1 << k):
         m = _min_element(mask)
-        parent = mask & ~(1 << (m - 1))
-        coeffs: dict[int, Fraction] = {}
-        diag = p[m - 1]
-        if parent:
-            coeffs[parent] = -p[m - 1]
-        for j in range(1, k + 1):
-            bit = 1 << (j - 1)
+        bit_m = 1 << (m - 1)
+        outside[mask] = outside[mask ^ bit_m] - p[m - 1]
+        coeffs: dict[int, Fraction] = {mask ^ bit_m: neg[m - 1]} if mask != bit_m else {}
+        for j in range(k):
+            bit = 1 << j
             if not mask & bit:
-                coeffs[mask | bit] = -p[j - 1]
-                diag += p[j - 1]
-        coeffs[mask] = diag
-        rows[mask] = (coeffs, Fraction(1))
+                coeffs[mask | bit] = neg[j]
+        coeffs[mask] = p[m - 1] + outside[mask]
+        rows[mask] = (coeffs, one)
     return SubsetSystem(policy=policy, rows=rows)
 
 
@@ -203,34 +223,60 @@ class SubsetSolution:
         return 10 * (self.tolerance if self.tolerance is not None else DEFAULT_TOLERANCE)
 
 
-def _eliminate(rows: dict, n: int, zero):
-    """Shared elimination core, decreasing mask order.
+class _Factors(NamedTuple):
+    """LU factors of a subset system, pivoted in decreasing mask order.
 
-    `rows` maps mask -> (coefficient dict, rhs) over one numeric type
-    (Fraction for the exact path, float for the preconditioner) and is
-    consumed in place. Returns pivot expressions for back substitution.
+    Pivot x keeps diag[x], its U row (ucol[i], uval[i]) for i in
+    range(ubound[x + 1], ubound[x]) over masks below x, and its L updates
+    (lrow[i], lval[i]) for i in range(lbound[x + 1], lbound[x]). Float
+    factors live in flat arrays; Fraction factors in lists.
     """
+
+    diag: Sequence
+    ucol: array
+    uval: Sequence
+    ubound: array
+    lrow: array
+    lval: Sequence
+    lbound: array
+
+
+def _eliminate(rows: dict, n: int, zero) -> _Factors:
+    """Factor step of the shared elimination core, decreasing mask order.
+
+    `rows` maps mask -> coefficient dict over one numeric type (Fraction
+    for the exact path, float for the preconditioner) and is consumed:
+    each row is popped once it is eliminated, and only rows still live
+    (below the pivot) receive updates. A live row gets the same updates
+    in the same pivot order as when eliminated rows were updated too, so
+    the float factors are unchanged by the skip.
+    """
+    values = partial(array, "d") if isinstance(zero, float) else list
+    diag = values([zero]) * n
+    ucol, lrow = array("l"), array("l")
+    uval, lval = values([]), values([])
+    ubound, lbound = array("l", [0]) * (n + 1), array("l", [0]) * (n + 1)
     occ: dict[int, set[int]] = {x: set() for x in range(1, n)}
-    for rid, (coeffs, _) in rows.items():
+    for rid, coeffs in rows.items():
         for c in coeffs:
-            if c:
-                occ[c].add(rid)
-    pivots = {}
+            occ[c].add(rid)
     for x in range(n - 1, 0, -1):
-        coeffs, rhs = rows[x]
-        diag = coeffs.get(x, zero)
-        if diag == zero:
+        coeffs = rows.pop(x)
+        d = coeffs.pop(x, zero)
+        if d == zero:
             raise ArithmeticError(f"zero pivot at mask {x:#x}; system unexpectedly singular")
-        expr = {c: v / diag for c, v in coeffs.items() if c != x and c != 0}
-        pivots[x] = (expr, rhs / diag)
-        for rid in list(occ[x]):
-            if rid == x:
+        diag[x] = d
+        expr = {c: v / d for c, v in coeffs.items()}
+        ucol.extend(expr)
+        uval.extend(expr.values())
+        ubound[x] = len(ucol)
+        for rid in occ.pop(x):
+            if rid >= x:
                 continue
-            rc, rr = rows[rid]
-            f = rc.pop(x, None)
-            if f is None:
-                continue
-            occ[x].discard(rid)
+            rc = rows[rid]
+            f = rc.pop(x)
+            lrow.append(rid)
+            lval.append(f)
             for c, v in expr.items():
                 nv = rc.get(c, zero) - f * v
                 if nv == zero:
@@ -239,37 +285,52 @@ def _eliminate(rows: dict, n: int, zero):
                 else:
                     rc[c] = nv
                     occ[c].add(rid)
-            rows[rid] = (rc, rr - f * pivots[x][1])
-        occ[x].clear()
-    return pivots
+        lbound[x] = len(lrow)
+    return _Factors(diag, ucol, uval, ubound, lrow, lval, lbound)
 
 
-def _back_substitute(k: int, pivots, numeric):
-    n = 1 << k
-    h = [numeric(0)] * n
-    for x in range(1, n):
-        expr, rhs = pivots[x]
-        val = rhs
-        for c, v in expr.items():
-            val -= v * h[c]
+def _substitute(factors: _Factors, rhs) -> list:
+    """Solve A h = rhs from the factors; rhs[0] is returned as h[0].
+
+    Replays the L updates in pivot order, which is their storage order,
+    then back-substitutes through U in increasing mask order; every U row
+    reads only lower masks.
+    """
+    diag, ucol, uval, ubound, lrow, lval, lbound = factors
+    h = list(rhs)
+    updates = zip(lrow, lval)
+    for x in range(len(diag) - 1, 0, -1):
+        hx = h[x] = h[x] / diag[x]
+        for rid, f in islice(updates, lbound[x] - lbound[x + 1]):
+            h[rid] -= f * hx
+    for x in range(1, len(diag)):
+        val = h[x]
+        for i in range(ubound[x + 1], ubound[x]):
+            val -= uval[i] * h[ucol[i]]
         h[x] = val
     return h
 
 
 def _solve_exact(system: SubsetSystem) -> list[Fraction]:
-    rows = {mask: (dict(coeffs), rhs) for mask, (coeffs, rhs) in system.rows.items()}
-    pivots = _eliminate(rows, 1 << system.k, Fraction(0))
-    return _back_substitute(system.k, pivots, Fraction)
+    n = 1 << system.k
+    rhs = [Fraction(0)] * n
+    for mask, (_, b) in system.rows.items():
+        rhs[mask] = b
+    rows = {mask: dict(coeffs) for mask, (coeffs, _) in system.rows.items()}
+    return _substitute(_eliminate(rows, n, Fraction(0)), rhs)
 
 
 def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: int):
-    """Float64 sparse-LU preconditioner + exact-residual refinement.
+    """Float64 LU factors once, then refinement with exact integer residuals.
 
-    Each pass computes the residual in exact rational arithmetic, solves
-    the correction in float64 with the same decreasing-mask elimination,
-    and adds it back. Contraction per pass is roughly machine-epsilon
-    times the solution magnitude, so a few passes reach any practical
-    tolerance.
+    The float factors are computed once; each pass solves for the
+    correction by substitution alone. Every correction is a float, hence
+    a dyadic rational, so h is held exactly as integers X * 2^-E. With
+    W = lcm of the denominators of p, the scaled residual
+    W * 2^E * (b - A h) is the integer vector (W b) << E - (W A) X, where
+    W A and W b are scaled from the rows of `system`. Contraction per pass
+    is roughly machine-epsilon times the solution magnitude, so a few
+    passes reach any practical tolerance.
 
     Stopping is certified: the system matrix is an M-matrix whose inverse
     is nonnegative with row sums h(S), so every component error is at
@@ -277,43 +338,39 @@ def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: 
     is below the tolerance, which also puts the residual itself far below
     it. Returns (h, iterations, residual).
     """
-    k = system.k
-    n = 1 << k
-    float_coeffs = {
-        mask: {c: float(v) for c, v in coeffs.items()}
-        for mask, (coeffs, _) in system.rows.items()
-    }
-
-    def solve_float(rhs: list[float]) -> list[float]:
-        rows = {mask: (dict(coeffs), rhs[mask]) for mask, coeffs in float_coeffs.items()}
-        pivots = _eliminate(rows, n, 0.0)
-        return _back_substitute(k, pivots, float)
-
-    pr = system.policy.probs
-    h = [Fraction(0)] * n
-    residual = Fraction(0)
+    n = 1 << system.k
+    w = lcm(*(q.denominator for q in system.policy.probs))
+    int_rows = [
+        (mask, b.numerator * (w // b.denominator), tuple(coeffs),
+         tuple(v.numerator * (w // v.denominator) for v in coeffs.values()))
+        for mask, (coeffs, b) in system.rows.items()
+    ]
+    # a / w is float(Fraction(a, w)): int true division rounds correctly
+    factors = _eliminate(
+        {mask: {c: a / w for c, a in zip(cols, vals)} for mask, _, cols, vals in int_rows},
+        n, 0.0,
+    )
+    tn, td = tolerance.numerator, tolerance.denominator
+    x = [0] * n
+    e = 0
     for iteration in range(max_iterations + 1):
-        res = [Fraction(0)] * n
-        worst = Fraction(0)
-        for mask in range(1, n):
-            m = _min_element(mask)
-            parent = mask & ~(1 << (m - 1))
-            acc = pr[m - 1] * (h[mask] - h[parent]) - 1
-            for j in range(1, k + 1):
-                bit = 1 << (j - 1)
-                if not mask & bit:
-                    acc -= pr[j - 1] * (h[mask | bit] - h[mask])
-            res[mask] = -acc
-            if abs(acc) > worst:
-                worst = abs(acc)
-        residual = worst
-        if worst * (1 + max(h)) < tolerance:
-            return h, iteration, residual
+        scale = w << e
+        r = [0] * n
+        for mask, b, cols, vals in int_rows:
+            r[mask] = (b << e) - sum(map(mul, vals, map(x.__getitem__, cols)))
+        worst = max(map(abs, r))
+        # worst / scale * (1 + max(x) / 2^E) < tn / td, cross-multiplied
+        if worst * ((1 << e) + max(x)) * td < (tn * scale) << e:
+            h = [Fraction(v, 1 << e) for v in x]
+            return h, iteration, Fraction(worst, scale)
         if iteration == max_iterations:
             break
-        correction = solve_float([float(r) for r in res])
-        for mask in range(1, n):
-            h[mask] += Fraction(correction[mask])
+        correction = [c.as_integer_ratio() for c in _substitute(factors, [v / scale for v in r])]
+        e_new = max(e, max(den.bit_length() for _, den in correction) - 1)
+        x = [(xi << (e_new - e)) + (num << (e_new + 1 - den.bit_length()))
+             for xi, (num, den) in zip(x, correction)]
+        e = e_new
+    residual = Fraction(worst, scale)
     raise SolverError(
         f"iterative solve did not reach tolerance {tolerance} after "
         f"{max_iterations} refinement passes (residual {float(residual):.3e})",
@@ -331,7 +388,8 @@ def solve_system(
     """Solve the subset-state system.
 
     exact: rational elimination, zero residual, k <= 12.
-    iterative: preconditioned refinement to max residual < tolerance, k <= 24.
+    iterative: float64 factors refined to a certified error below
+    tolerance, k <= ITERATIVE_MODE_MAX_K.
     """
     if mode == "exact":
         if policy.k > EXACT_MODE_MAX_K:

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from gkserver.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -91,6 +93,14 @@ def test_system_iterative_mode(capsys):
     assert d["mode"] == "iterative"
     assert d["iterations"] >= 1
     assert abs(d["h_k_float"] - 15.0) < 1e-9
+
+
+@pytest.mark.parametrize("mode", ["exact", "iterative"])
+@pytest.mark.parametrize("tolerance", ["abc", "nan", "inf", "1/0", "0", "-0.5"])
+def test_system_rejects_bad_tolerance(tolerance, mode, capsys):
+    assert run_cli("system", "--p", "1/2,1/2", "--mode", mode,
+                   "--tolerance", tolerance) == EXIT_VALIDATION
+    assert "tolerance" in capsys.readouterr().err
 
 
 def _write_config(tmp_path, **overrides):
@@ -207,6 +217,18 @@ def test_sweep_parallel_preserves_order(capsys):
                    "--grid", "1/2,1/2;3/5,2/5;2/3,1/3;3/4,1/4") == EXIT_OK
     rows = _parse_csv(capsys.readouterr().out)[1:]
     assert [r[0] for r in rows] == ["1/2,1/2", "3/5,2/5", "2/3,1/3", "3/4,1/4"]
+
+
+SWEEP_K2 = ["sweep", "--k", "2", "--grid", "1/2,1/2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--jobs", "0", *SWEEP_K2], ["--jobs", "-1", *SWEEP_K2], ["--jobs", "-3", *SWEEP_K2],
+    [*SWEEP_K2, "--phases", "-1"],
+])
+def test_sweep_rejects_bad_numbers(argv, capsys):
+    assert run_cli(*argv) == EXIT_VALIDATION
+    assert "must be >=" in capsys.readouterr().err
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):

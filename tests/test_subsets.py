@@ -1,5 +1,6 @@
 """Subset-state system: assembly, exact and iterative solves, bound checks."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import random_policy
 from gkserver.chains import harmonic_eet
-from gkserver.harmonic import alpha
+from gkserver.harmonic import alpha, rational_to_str
 from gkserver.subsets import (
     DEFAULT_TOLERANCE,
     MemorylessPolicy,
@@ -174,6 +175,45 @@ def test_iterative_matches_exact(rng):
         assert worst <= 10 * DEFAULT_TOLERANCE
 
 
+def _h_digest(sol) -> str:
+    text = ",".join(rational_to_str(x) for x in sol.h)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+WEIGHTED_10 = MemorylessPolicy.from_probs(
+    [Fraction(w, 154) for w in (40, 33, 29, 17, 12, 9, 7, 4, 2, 1)]
+)
+
+
+# Golden values. The iterates are sums of float64 corrections, so any change
+# to the float factors or to the order of their operations moves h, the pass
+# count or the residual; the solver's internals must keep them bit-identical.
+@pytest.mark.parametrize("policy, iterations, residual, digest", [
+    (MemorylessPolicy.uniform(11), 3, Fraction(5, 425541888504349469496573952),
+     "e8370c493f909469"),
+    (WEIGHTED_10, 4, Fraction(467, 23271822027581611613093888), "855049512325cfd2"),
+], ids=["uniform11", "weighted10"])
+def test_iterative_golden(policy, iterations, residual, digest):
+    sol = solve_system(policy, mode="iterative")
+    assert sol.iterations == iterations
+    assert sol.max_residual == residual
+    assert _h_digest(sol) == digest
+
+
+def test_iterative_golden_budget_exhaustion():
+    with pytest.raises(SolverError) as err:
+        solve_system(WEIGHTED_10, mode="iterative", max_iterations=2)
+    assert err.value.iterations == 2
+    assert err.value.residual == Fraction(421, 21165598834688)
+
+
+def test_iterative_uniform_k13():
+    k = 13
+    sol = solve_system(MemorylessPolicy.uniform(k), mode="iterative")
+    assert sol.iterations >= 1
+    assert abs(sol.h_k - k * alpha(k)) < DEFAULT_TOLERANCE
+
+
 def test_iterative_reports_residual_on_budget_exhaustion():
     policy = MemorylessPolicy.uniform(4)
     with pytest.raises(SolverError) as err:
@@ -185,6 +225,8 @@ def test_iterative_reports_residual_on_budget_exhaustion():
 def test_mode_caps():
     with pytest.raises(ValueError):
         solve_system(MemorylessPolicy.uniform(13), mode="exact")
+    with pytest.raises(ValueError):
+        solve_system(MemorylessPolicy.uniform(15), mode="iterative")
     with pytest.raises(ValueError):
         solve_system(MemorylessPolicy.uniform(25), mode="iterative")
     with pytest.raises(ValueError):
