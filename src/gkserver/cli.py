@@ -153,7 +153,7 @@ def cmd_system(args) -> int:
     tolerance = _parse_tolerance(args.tolerance)
     try:
         sol = solve_system(policy, mode=args.mode, tolerance=tolerance)
-    except SolverError as exc:
+    except (SolverError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:
@@ -244,7 +244,7 @@ def _sweep_cell(payload):
                 "gap": "", "sim_ratio": ""}
     try:
         sol = solve_system(policy, mode="exact")
-    except (SolverError, ValueError) as exc:
+    except (SolverError, ArithmeticError, ValueError) as exc:
         return {"policy": policy_spec, "status": f"solver_failed: {exc}", "h_k": "",
                 "bound": "", "gap": "", "sim_ratio": "", "_failed": True}
     bound = lower_bound_hk(policy)

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import ne
 
 from .chains import harmonic_eet
 from .harmonic import alpha_table
@@ -145,15 +147,28 @@ class TraceReport:
         }
 
 
+def _diff_mask(a, b, bits) -> int:
+    """Bit i set exactly where configurations a and b differ in coordinate i.
+
+    `bits` is (1, 2, 4, ...), one bit per coordinate.
+    """
+    return sum(compress(bits, map(ne, a, b)))
+
+
 def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     """Audit a uniform-policy trace step by step.
 
-    Hard check per step: the adversary's move may not raise the
-    potential by more than k * a(k) per unit of its cost. Policy moves
-    are accounted in expectation (the exact expected drop is recomputed
-    per step; realized-minus-expected accumulates into the residual,
-    whose mean over independent traces straddles zero). Finally the
-    telescoped bound is checked exactly.
+    Hard checks per step: the adversary's move may not raise the
+    potential by more than k * a(k) per unit of its cost, and the facts
+    the audit rests on are recomputed rather than trusted: `t` rises by
+    one, the declared costs equal the Hamming moves of the two
+    configurations, the policy's configuration serves the request and
+    every coordinate it moved now equals the request, and the `hamming`
+    and `state_mask` columns match the configurations. Policy moves are
+    accounted in expectation (the exact expected drop is recomputed per
+    step; realized-minus-expected accumulates into the residual, whose
+    mean over independent traces straddles zero). Finally the telescoped
+    bound is checked exactly.
     """
     policy = trace.policy
     if not policy.is_uniform:
@@ -165,9 +180,14 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
         raise ValueError(f"context is for k={ctx.k}, trace has k={k}")
 
     bound = ctx.step_bound
+    h = ctx.h
     phi_start = potential(trace.q0, trace.adv0, ctx)
     q_prev = trace.q0
     adv_prev = trace.adv0
+    d_prev = hamming(q_prev, adv_prev)
+    t_prev = 0
+    bits = tuple(1 << i for i in range(k))
+    full = (1 << k) - 1
     residual = Fraction(0)
     expected_total = Fraction(0)
     realized_total = 0
@@ -177,7 +197,14 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     adv_cost = 0
 
     for s in trace.steps:
-        jump = potential(q_prev, s.adv_config, ctx) - potential(q_prev, adv_prev, ctx)
+        q, adv, r = s.alg_config, s.adv_config, s.request
+        # the Hamming moves of the step, each computed once
+        d_mid = sum(map(ne, q_prev, adv))
+        state = _diff_mask(q, adv, bits)
+        d_new = state.bit_count()
+        moved = _diff_mask(q_prev, q, bits)
+        unserved = _diff_mask(q, r, bits)
+        jump = h[d_mid] - h[d_prev]
         if jump > bound * s.adv_cost:
             violations.append({
                 "t": s.t,
@@ -185,8 +212,22 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
                 "jump": jump,
                 "allowed": bound * s.adv_cost,
             })
-        drop = potential(q_prev, s.adv_config, ctx) - potential(s.alg_config, s.adv_config, ctx)
-        exp_drop = expected_drift(q_prev, s.adv_config, s.request, policy, ctx)
+        for kind, declared, actual in (
+            ("time_not_consecutive", s.t, t_prev + 1),
+            ("alg_cost_mismatch", s.alg_cost, moved.bit_count()),
+            ("adv_cost_mismatch", s.adv_cost, sum(map(ne, adv_prev, adv))),
+            ("hamming_mismatch", s.hamming, d_new),
+            ("state_mask_mismatch", s.state_mask, state),
+        ):
+            if declared != actual:
+                violations.append({"t": s.t, "kind": kind, "declared": declared, "actual": actual})
+        if unserved == full:
+            violations.append({"t": s.t, "kind": "request_not_served"})
+        if stray := moved & unserved:
+            violations.append({"t": s.t, "kind": "move_not_to_request",
+                               "coordinates": [i for i in range(k) if stray >> i & 1]})
+        drop = h[d_mid] - h[d_new]
+        exp_drop = expected_drift(q_prev, adv, r, policy, ctx)
         residual += drop - exp_drop
         expected_total += exp_drop
         realized_total += drop
@@ -194,10 +235,9 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
             min_drift = exp_drop
         alg_cost += s.alg_cost
         adv_cost += s.adv_cost
-        q_prev = s.alg_config
-        adv_prev = s.adv_config
+        q_prev, adv_prev, d_prev, t_prev = q, adv, d_new, s.t
 
-    phi_end = potential(q_prev, adv_prev, ctx)
+    phi_end = h[d_prev]
     bound_holds = alg_cost <= bound * adv_cost + phi_start - phi_end - residual
     return TraceReport(
         steps=len(trace.steps),

@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+from gkserver import subsets
 from gkserver.cli import (
     EXIT_BUDGET,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_VALIDATION,
     EXIT_VERIFY,
     main,
@@ -167,6 +169,29 @@ def test_verify_flags_corrupted_trace(tmp_path, capsys):
     assert run_cli("verify", str(trace)) == EXIT_VERIFY
     d = json.loads(capsys.readouterr().out)
     assert d["hard_violations"]
+
+
+def test_verify_flags_understated_policy_cost(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    path = _write_config(tmp_path, emit_trace=True, trace_path=str(trace), phases=20)
+    assert run_cli("simulate", str(path)) == EXIT_OK
+    capsys.readouterr()
+    lines = trace.read_text().splitlines()
+    first = lines[9].split(",")
+    assert first[0] == "1" and first[4] == "1"
+    first[4] = "0"
+    lines[9] = ",".join(first)
+    trace.write_text("\n".join(lines) + "\n")
+    assert run_cli("verify", str(trace)) == EXIT_VERIFY
+    d = json.loads(capsys.readouterr().out)
+    assert {"t": 1, "kind": "alg_cost_mismatch", "declared": 0, "actual": 1} in d["hard_violations"]
+
+
+def test_system_uncertified_exact_solve_exits_solver(monkeypatch, capsys):
+    real = subsets._lifted
+    monkeypatch.setattr(subsets, "_lifted", lambda digits, i: real(digits, i) + (i == 2))
+    assert run_cli("system", "--p", "2/5,3/10,1/5,1/10") == EXIT_SOLVER
+    assert "integer check" in capsys.readouterr().err
 
 
 def test_verify_rejects_empty_trace(tmp_path):

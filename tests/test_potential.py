@@ -1,9 +1,12 @@
 """Potential machinery: table consistency, exact drifts, trace audits."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkserver.chains import harmonic_eet
 from gkserver.harmonic import alpha, alpha_table
@@ -15,7 +18,7 @@ from gkserver.potential import (
     potential,
     verify_trace,
 )
-from gkserver.simulate import ExperimentConfig, run
+from gkserver.simulate import ExperimentConfig, read_trace_csv, run, write_trace_csv
 from gkserver.subsets import MemorylessPolicy
 
 
@@ -200,3 +203,81 @@ def test_residual_mean_near_zero_across_seeds():
     var = sum((x - mean) ** 2 for x in residuals) / (n - 1)
     se = math.sqrt(var / n)
     assert abs(mean) <= 3 * se
+
+
+def _first_move_off_adversary(trace):
+    """Index of the first step whose policy move is not where the adversary serves."""
+    q_prev = trace.q0
+    for index, s in enumerate(trace.steps):
+        j = next(i for i in range(trace.k) if s.alg_config[i] != q_prev[i])
+        if s.adv_config[j] != s.request[j]:
+            return index, j, q_prev
+        q_prev = s.alg_config
+    raise AssertionError("no such step")
+
+
+def _unserved_request(trace):
+    # the moved coordinate's request becomes the third point: neither the old
+    # nor the new configuration serves it, the adversary still does
+    index, j, q_prev = _first_move_off_adversary(trace)
+    s = trace.steps[index]
+    r = list(s.request)
+    r[j] = 3 - s.alg_config[j] - q_prev[j]
+    return index, {"request": tuple(r)}
+
+
+def _stray_move(trace):
+    # the policy moves its coordinate to the third point instead of the request
+    index, j, q_prev = _first_move_off_adversary(trace)
+    s = trace.steps[index]
+    q = list(s.alg_config)
+    q[j] = 3 - s.request[j] - q_prev[j]
+    return index, {"alg_config": tuple(q)}
+
+
+# kind -> tamper(trace) giving (step index, field changes)
+_TAMPERS = {
+    "alg_cost_mismatch": lambda tr: (0, {"alg_cost": 0}),
+    "adv_cost_mismatch": lambda tr: (1, {"adv_cost": tr.steps[1].adv_cost + 1}),
+    "time_not_consecutive": lambda tr: (1, {"t": tr.steps[1].t + 1}),
+    "hamming_mismatch": lambda tr: (1, {"hamming": tr.steps[1].hamming + 1}),
+    "state_mask_mismatch": lambda tr: (1, {"state_mask": tr.steps[1].state_mask ^ 0b10}),
+    "request_not_served": _unserved_request,
+    "move_not_to_request": _stray_move,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TAMPERS))
+def test_verify_trace_flags_tampered_premise(kind):
+    trace = _uniform_trace(3, 50, seed=21)
+    assert verify_trace(trace).ok
+    index, changes = _TAMPERS[kind](trace)
+    trace.steps[index] = dataclasses.replace(trace.steps[index], **changes)
+    report = verify_trace(trace)
+    assert not report.ok
+    assert any(v["kind"] == kind and v["t"] == trace.steps[index].t
+               for v in report.hard_violations)
+
+
+_COLUMN_KINDS = {
+    "t": "time_not_consecutive",
+    "alg_cost": "alg_cost_mismatch",
+    "adv_cost": "adv_cost_mismatch",
+    "hamming": "hamming_mismatch",
+    "state_mask": "state_mask_mismatch",
+}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from(sorted(_COLUMN_KINDS)), st.integers(1, 3))
+def test_edited_trace_column_fails_audit_after_csv_round_trip(tmp_path_factory, pick, column,
+                                                              delta):
+    trace = _uniform_trace(2, 30, seed=pick % 7)
+    path = tmp_path_factory.mktemp("trace") / "t.csv"
+    index = pick % len(trace.steps)
+    s = trace.steps[index]
+    trace.steps[index] = dataclasses.replace(s, **{column: getattr(s, column) + delta})
+    write_trace_csv(trace, str(path))
+    report = verify_trace(read_trace_csv(str(path)))
+    assert not report.ok
+    assert _COLUMN_KINDS[column] in {v["kind"] for v in report.hard_violations}

@@ -1,14 +1,18 @@
 """Subset-state system: assembly, exact and iterative solves, bound checks."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_policy
+from gkserver import subsets
 from gkserver.chains import harmonic_eet
-from gkserver.harmonic import alpha, rational_to_str
+from gkserver.harmonic import alpha, alpha_table, rational_to_str
 from gkserver.subsets import (
     DEFAULT_TOLERANCE,
     MemorylessPolicy,
@@ -231,3 +235,156 @@ def test_mode_caps():
         solve_system(MemorylessPolicy.uniform(25), mode="iterative")
     with pytest.raises(ValueError):
         solve_system(MemorylessPolicy.uniform(2), mode="fancy")
+
+
+def _fraction_oracle(policy):
+    """h by the shared elimination core over Fraction: the rational reference."""
+    system = build_system(policy)
+    n = 1 << policy.k
+    rhs = [Fraction(0)] * n
+    for mask, (_, b) in system.rows.items():
+        rhs[mask] = b
+    rows = {mask: dict(coeffs) for mask, (coeffs, _) in system.rows.items()}
+    return tuple(subsets._substitute(subsets._eliminate(rows, n, Fraction(0)), rhs))
+
+
+# one weight: small ones tie often, large ones skew the policy
+_weights = st.one_of(st.integers(1, 3), st.integers(1, 10**6))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(_weights, min_size=1, max_size=9))
+def test_exact_matches_fraction_oracle(weights):
+    total = sum(weights)
+    policy = MemorylessPolicy.from_probs([Fraction(w, total) for w in weights])
+    sol = solve_system(policy)
+    assert sol.h == _fraction_oracle(policy)
+    assert all(type(v) is Fraction for v in sol.h)
+
+
+SKEWED_5 = MemorylessPolicy.from_probs([Fraction(w, 100) for w in (40, 30, 20, 7, 3)])
+
+
+@pytest.mark.parametrize("target", ["_substitute", "_lifted"])
+def test_corrupted_lift_digit_raises(monkeypatch, target):
+    """A digit off by one must fail the integer certificate, never be returned.
+
+    Corrupting digit 0 of one entry either in the lift itself (the residual
+    carries the error forward) or only where the vector is rebuilt (the
+    reconstruction accepts the wrong numerator) leaves an h that does not
+    solve the system.
+    """
+    real = getattr(subsets, target)
+
+    if target == "_substitute":
+        calls = []
+
+        def corrupt(factors, rhs):
+            y = real(factors, rhs)
+            calls.append(y)
+            if len(calls) == 1:
+                y[2] = (y[2] + 1) % subsets._PRIME
+            return y
+    else:
+        def corrupt(digits, i):
+            return real(digits, i) + (i == 2)
+
+    monkeypatch.setattr(subsets, target, corrupt)
+    result = None
+    with pytest.raises(ArithmeticError, match="integer check"):
+        result = solve_system(SKEWED_5)
+    assert result is None
+
+
+def test_unsettled_lift_raises_at_the_cap(monkeypatch):
+    """No reconstruction ever settles: the lift stops at its cap and raises."""
+    monkeypatch.setattr(subsets, "_reconstruct", lambda *args: None)
+    with pytest.raises(ArithmeticError, match="no stable solution"):
+        solve_system(SKEWED_5)
+
+
+def test_pivot_vanishing_modulo_the_prime_raises():
+    with pytest.raises(ArithmeticError, match="zero pivot at mask 0x1 modulo the prime"):
+        subsets._eliminate({1: {1: 6}}, 2, 0, 3)
+
+
+def _fraction_monotonicity(sol):
+    """check_monotonicity in Fraction arithmetic: the reference formula."""
+    p, k, slack = sol.policy.probs, sol.k, sol.check_slack
+    out = []
+    for mask in range(1, 1 << k):
+        members = [i for i in range(1, k + 1) if mask & (1 << (i - 1))]
+        drops = {i: p[i - 1] * (sol.h[mask] - sol.h[mask & ~(1 << (i - 1))]) for i in members}
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                i, j = members[a], members[b]
+                if drops[i] > drops[j] + slack:
+                    out.append((mask, i, j, drops[i], drops[j]))
+    return out
+
+
+def _fraction_alpha_bound(sol):
+    """check_subset_alpha_bound in Fraction arithmetic: the reference formula."""
+    p, k, slack = sol.policy.probs, sol.k, sol.check_slack
+    a = alpha_table(k)
+    out = []
+    for mask in range(1, 1 << k):
+        floor = a[k - mask.bit_count()]
+        for i in range(1, k + 1):
+            bit = 1 << (i - 1)
+            if mask & bit:
+                val = p[i - 1] * (sol.h[mask] - sol.h[mask & ~bit])
+                if val < floor - slack:
+                    out.append((mask, i, val, floor))
+    return out
+
+
+def _fraction_residual(system, h):
+    return max(abs(sum(v * h[c] for c, v in coeffs.items()) - rhs)
+               for coeffs, rhs in system.rows.values())
+
+
+def _assert_integer_checks_match(sol):
+    mono, bound = check_monotonicity(sol), check_subset_alpha_bound(sol)
+    assert mono == _fraction_monotonicity(sol)
+    assert bound == _fraction_alpha_bound(sol)
+    assert all(type(v) is Fraction for row in mono for v in row[3:])
+    assert all(type(row[2]) is Fraction for row in bound)
+    residual = build_system(sol.policy).residual(sol.h)
+    assert residual == _fraction_residual(build_system(sol.policy), sol.h)
+    assert type(residual) is Fraction
+    return mono, bound
+
+
+@pytest.mark.parametrize("mode", ["exact", "iterative"])
+def test_integer_checks_match_fraction_formulas_on_tampered_solutions(mode):
+    rng = random.Random(77)
+    found_mono = found_bound = 0
+    for k in (2, 3, 4, 5, 6):
+        for _ in range(3):
+            sol = solve_system(random_policy(k, rng), mode=mode)
+            h = list(sol.h)
+            for _ in range(k):
+                mask = rng.randrange(1, len(h))
+                h[mask] += Fraction(rng.randint(-400, 400), rng.randint(1, 9))
+            mono, bound = _assert_integer_checks_match(dataclasses.replace(sol, h=tuple(h)))
+            found_mono += len(mono)
+            found_bound += len(bound)
+    assert found_mono and found_bound
+
+
+@pytest.mark.parametrize("excess, violations", [(0, 0), (Fraction(1, 10**30), 1)])
+def test_integer_checks_keep_iterative_slack_boundary(excess, violations):
+    """Drops exactly at the slack pass, a hair beyond it fail, as with Fractions."""
+    sol = solve_system(MemorylessPolicy.uniform(2), mode="iterative")
+    slack = sol.check_slack
+    h = list(sol.h)
+    # drop_1 - drop_2 = (h({1}) - h({2})) / 2 at S = {1, 2}
+    h[0b01] = h[0b10] + 2 * (slack + excess)
+    mono, _ = _assert_integer_checks_match(dataclasses.replace(sol, h=tuple(h)))
+    assert len(mono) == violations
+    # the drop at S = {2} is h({2}) / 2 against the floor alpha(2) = 2
+    h = list(sol.h)
+    h[0b10] = 2 * (2 - slack - excess)
+    _, bound = _assert_integer_checks_match(dataclasses.replace(sol, h=tuple(h)))
+    assert sum(1 for mask, *_ in bound if mask == 0b10) == violations
