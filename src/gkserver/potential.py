@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import ne
+from operator import eq, ne
 
 from .chains import harmonic_eet
 from .harmonic import alpha_table
@@ -167,8 +167,11 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     and `state_mask` columns match the configurations. Policy moves are
     accounted in expectation (the exact expected drop is recomputed per
     step; realized-minus-expected accumulates into the residual, whose
-    mean over independent traces straddles zero). Finally the telescoped
-    bound is checked exactly.
+    mean over independent traces straddles zero). A step whose request
+    the previous policy configuration already serves, or the adversary
+    does not serve, breaks the premises of that expectation: it is a
+    hard violation and adds no drift. Finally the telescoped bound is
+    checked exactly.
     """
     policy = trace.policy
     if not policy.is_uniform:
@@ -226,13 +229,20 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
         if stray := moved & unserved:
             violations.append({"t": s.t, "kind": "move_not_to_request",
                                "coordinates": [i for i in range(k) if stray >> i & 1]})
-        drop = h[d_mid] - h[d_new]
-        exp_drop = expected_drift(q_prev, adv, r, policy, ctx)
-        residual += drop - exp_drop
-        expected_total += exp_drop
-        realized_total += drop
-        if min_drift is None or exp_drop < min_drift:
-            min_drift = exp_drop
+        # expected_drift's premises: the move is forced, the adversary serves r
+        forced = not any(map(eq, q_prev, r))
+        if not forced:
+            violations.append({"t": s.t, "kind": "request_already_served"})
+        if not any(map(eq, adv, r)):
+            violations.append({"t": s.t, "kind": "request_not_served_by_adversary"})
+        elif forced:
+            drop = h[d_mid] - h[d_new]
+            exp_drop = expected_drift(q_prev, adv, r, policy, ctx)
+            residual += drop - exp_drop
+            expected_total += exp_drop
+            realized_total += drop
+            if min_drift is None or exp_drop < min_drift:
+                min_drift = exp_drop
         alg_cost += s.alg_cost
         adv_cost += s.adv_cost
         q_prev, adv_prev, d_prev, t_prev = q, adv, d_new, s.t

@@ -22,17 +22,20 @@ next. Phases are i.i.d. (memorylessness), so the mean phase length
 estimates the competitive ratio; the subset-state analysis gives its
 exact value h({k}).
 
-Reproducibility: one master seed; phase i draws from an independent
-PCG64 stream keyed (seed, i), so phases can be replayed or distributed
-without changing any sample.
+Reproducibility: one master seed; phase i draws 256 integers at a time
+from the PCG64 stream of SeedSequence((seed, i)), so phases can be
+replayed or distributed without changing any sample. run() seeds 1024
+phases at once; PolicySampler seeds one stream through numpy itself.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
+from itertools import accumulate, permutations, product
+from math import lcm, sqrt
 
 import numpy as np
 
@@ -204,38 +207,36 @@ class ExperimentConfig:
         return d
 
 
+def _thresholds(policy: MemorylessPolicy) -> tuple[int, list[int]]:
+    """The policy's common denominator and cumulative integer thresholds:
+    u uniform below it picks the first j with u < thresholds[j], w.p. p_j."""
+    den = lcm(*(p.denominator for p in policy.probs))
+    return den, list(accumulate(p.numerator * (den // p.denominator) for p in policy.probs))
+
+
 class PolicySampler:
     """Exact sampler for a rational policy from a seeded integer stream.
 
     Draws one uniform integer below the common denominator per step and
     picks the metric by cumulative integer thresholds, so the sampled
-    distribution matches the policy exactly (no float rounding).
+    distribution matches the policy exactly (no float rounding). Seeded
+    with (seed, i) it draws what phase i of run() draws.
     """
 
     def __init__(self, policy: MemorylessPolicy, seed_key):
-        self._den = 1
-        for p in policy.probs:
-            self._den = self._den * p.denominator // np.gcd(self._den, p.denominator)
-        acc = 0
-        self._thresholds = []
-        for p in policy.probs:
-            acc += p.numerator * (self._den // p.denominator)
-            self._thresholds.append(acc)
+        self._den, self._thresholds = _thresholds(policy)
         self._rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-        self._buf = self._rng.integers(0, self._den, size=256).tolist()
+        self._buf = self._rng.integers(0, self._den, size=_CHUNK).tolist()
         self._pos = 0
 
     def draw(self) -> int:
         """0-based canonical metric index."""
         if self._pos == len(self._buf):
-            self._buf = self._rng.integers(0, self._den, size=256).tolist()
+            self._buf = self._rng.integers(0, self._den, size=_CHUNK).tolist()
             self._pos = 0
         u = self._buf[self._pos]
         self._pos += 1
-        for j, t in enumerate(self._thresholds):
-            if u < t:
-                return j
-        return len(self._thresholds) - 1
+        return bisect_right(self._thresholds, u)
 
 
 def memoryless_step(q, r, policy: MemorylessPolicy, sampler: PolicySampler):
@@ -397,161 +398,157 @@ def _state_mask(q, adv) -> int:
     return mask
 
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
+# multiplier; 1024-phase blocks divide 2^32, so a block shares one word count
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_BLOCK, _CHUNK = 1024, 256  # phases seeded at once, integers drawn per call
+# the smallest point off x and y, for the points 0..2 lower_bound traces use
+_FREE = [[min({0, 1, 2} - {x, y}) for y in range(3)] for x in range(3)]
+
+
+def _words(n: int) -> list[int]:
+    """SeedSequence's little-endian uint32 words of n (0 is the word [0])."""
+    return [n >> shift & _M32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _phase_streams(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of SeedSequence((seed, i)) for start <= i < stop.
+
+    Within one 1024-phase block only the low word of i varies, so the
+    pool mix and generate_state(4, uint64) run as uint32 vector ops over
+    the block; PCG64's set-seed rule then maps each phase's four words.
+    """
+    if not 0 <= start < stop or start // _BLOCK != (stop - 1) // _BLOCK:
+        raise ValueError(f"phases {start}..{stop - 1} do not lie in one {_BLOCK}-phase block")
+    n = stop - start
+    index = _words(start)
+    entropy = [np.full(n, w, np.uint32) for w in _words(seed) + index]
+    entropy[-len(index)] = np.arange(index[0], index[0] + n, dtype=np.uint32)
+    entropy += [np.zeros(n, np.uint32)] * (4 - len(entropy))
+
+    def hasher(mult, step):
+        def hashmix(v):
+            nonlocal mult
+            v, mult = v ^ mult, mult * step & _M32
+            v = v * mult
+            return v ^ v >> 16
+        return hashmix
+
+    def mix(x, y):
+        v = x * _MIX_L - y * _MIX_R
+        return v ^ v >> 16
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(v) for v in entropy[:4]]
+    for src, dst in permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for v, dst in product(entropy[4:], range(4)):
+        pool[dst] = mix(pool[dst], hashmix(v))
+    hashmix = hasher(_INIT_B, _MULT_B)
+    words = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
+    streams = []
+    for a, b, c, d in words.astype("<u4").view("<u8").tolist():
+        inc = ((c << 64 | d) << 1 | 1) & _M128
+        streams.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, inc))
+    return streams
+
+
+def _replay(config: ExperimentConfig, drawn: list[int]) -> Trace:
+    """Rebuild a run's trace from the metric bit it drew at each step.
+
+    At a phase start the adversary moves its last server to 1 - x, the
+    smallest point off the shared one. The lower_bound request reveals
+    the adversary in the lowest differing metric and avoids both servers
+    elsewhere; the n2 request is the anti-configuration.
+    """
+    k = config.spec.k
+    q0 = (0,) * k
+    trace = Trace(k=k, n=config.spec.n, policy=config.policy, adversary=config.adversary,
+                  seed=config.seed, q0=q0, adv0=q0)
+    flip = config.adversary == "n2"
+    q, adv, adv_t = list(q0), list(q0), q0
+    mask = 0
+    for t, b in enumerate(drawn, 1):
+        adv_cost = 0 if mask else 1
+        if not mask:
+            mask = 1 << (k - 1)
+            adv[-1] = 1 - adv[-1]
+            adv_t = tuple(adv)
+        if flip:
+            r = [1 - x for x in q]
+        else:
+            m = (mask & -mask).bit_length() - 1
+            r = [adv[i] if i == m else _FREE[q[i]][adv[i]] for i in range(k)]
+        mask = mask ^ b if flip or b == mask & -mask else mask | b
+        j = b.bit_length() - 1
+        q[j] = r[j]
+        trace.steps.append(TraceStep(t=t, request=tuple(r), alg_config=tuple(q),
+                                     adv_config=adv_t, alg_cost=1, adv_cost=adv_cost,
+                                     hamming=mask.bit_count(), state_mask=mask))
+    return trace
+
+
 def run(config: ExperimentConfig):
     """Drive the request loop until the phase budget or step budget runs out.
 
-    Returns (RunSummary, Trace or None). The loop inlines the adversary
-    rules of lower_bound_adversary_step / n2_adversary_step and the
-    sampling of memoryless_step for speed; the reference functions define
-    the semantics and the test suite replays traces through them. Both
-    instances force a policy move every step (the request is constructed
-    to avoid the policy's configuration), and the adversary moves exactly
-    one server per phase; the loop re-checks the configurations'
-    coincidence at every phase boundary.
+    Returns (RunSummary, Trace or None). Both adversaries force a policy
+    move every step and move one server per phase, so the run is a walk
+    on the mask S of differing metrics: a phase starts at S = {k}, the
+    drawn metric leaves S if it is min S and joins S otherwise
+    (lower_bound) or always flips (n2), and the phase ends at S = {}.
+    Each phase loads its (seed, i) stream into one reused PCG64. With
+    emit_trace, _replay rebuilds the configurations from the walk's bits.
     """
-    spec = config.spec
-    policy = config.policy
-    k = spec.k
-    km1 = k - 1
-    q0 = tuple(0 for _ in range(k))
-    q = list(q0)
-    adv = list(q0)
-    trace = None
-    if config.emit_trace:
-        trace = Trace(k=k, n=spec.n, policy=policy, adversary=config.adversary,
-                      seed=config.seed, q0=q0, adv0=q0)
-
-    lower_bound = config.adversary == "lower_bound"
-    phase_budget = config.phases
-    max_steps = config.max_steps
-    seed = config.seed
-    phase_lengths: list[int] = []
-    phase_steps = 0
-    completed_alg = 0
-    completed_adv = 0
-    alg_cost = 0
-    adv_cost = 0
+    k = config.spec.k
+    den, thresholds = _thresholds(config.policy)
+    cuts = np.array(thresholds)
+    # a bit beyond the 63rd does not fit int64
+    bits = np.array([1 << j for j in range(k)], dtype=np.int64 if k < 64 else object)
+    flip = config.adversary == "n2"
+    gen = np.random.Generator(np.random.PCG64(0))
+    streams = (stream for first in range(0, config.phases, _BLOCK)
+               for stream in _phase_streams(config.seed, first,
+                                            min(first + _BLOCK, config.phases)))
+    drawn = [] if config.emit_trace else None
+    lengths: list[int] = []
     steps = 0
     exhausted = False
-    dist = 0
-
-    den = 1
-    for p in policy.probs:
-        den = den * p.denominator // np.gcd(den, p.denominator)
-    thresholds = []
-    acc = 0
-    for p in policy.probs:
-        acc += p.numerator * (den // p.denominator)
-        thresholds.append(acc)
-
-    gen = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    buf = gen.integers(0, den, size=256).tolist()
-    pos = 0
-
-    while len(phase_lengths) < phase_budget:
-        if steps >= max_steps:
+    for state, inc in streams:
+        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+        mask, begin = 1 << (k - 1), steps
+        while mask and steps < config.max_steps:
+            room = config.max_steps - steps
+            draws = bits[cuts.searchsorted(gen.integers(0, den, size=_CHUNK), "right")].tolist()
+            for n, b in enumerate(draws if room >= _CHUNK else draws[:room], 1):
+                mask = mask ^ b if flip or b == mask & -mask else mask | b
+                if not mask:
+                    break
+            steps += n
+            if drawn is not None:
+                drawn += draws[:n]
+        if mask:
             exhausted = True
             break
-        steps += 1
-        phase_steps += 1
-        # adversary update (adaptive: sees the realized q); it moves one
-        # server in the last metric exactly when the policy has caught up
-        if dist == 0:
-            if lower_bound:
-                cur = adv[km1]
-                adv[km1] = 0 if cur != 0 else 1  # smallest point off the shared spot
-            else:
-                adv[km1] = 1 - adv[km1]
-            adv_cost += 1
-            adv_inc = 1
-            dist = 1
-            m = km1
-        else:
-            adv_inc = 0
-            if lower_bound:
-                m = 0
-                while q[m] == adv[m]:
-                    m += 1
-        # sample the policy's metric
-        if pos == 256:
-            buf = gen.integers(0, den, size=256).tolist()
-            pos = 0
-        u = buf[pos]
-        pos += 1
-        j = 0
-        while u >= thresholds[j]:
-            j += 1
-        # request coordinate j (full request only materialized for traces)
-        r = None
-        if lower_bound:
-            if trace is not None:
-                r = []
-                for i in range(k):
-                    if i == m:
-                        r.append(adv[i])
-                    else:
-                        qi = q[i]
-                        ai = adv[i]
-                        v = 0
-                        while v == qi or v == ai:
-                            v += 1
-                        r.append(v)
-                rj = r[j]
-            elif j == m:
-                rj = adv[m]
-            else:
-                qj = q[j]
-                aj = adv[j]
-                rj = 0
-                while rj == qj or rj == aj:
-                    rj += 1
-        else:
-            if trace is not None:
-                r = [1 - x for x in q]
-            rj = 1 - q[j]
-        # apply the move, tracking the Hamming distance incrementally
-        if q[j] != adv[j]:
-            dist -= 1
-        q[j] = rj
-        if rj != adv[j]:
-            dist += 1
-        alg_cost += 1
-        if trace is not None:
-            trace.steps.append(TraceStep(
-                t=steps, request=tuple(r), alg_config=tuple(q), adv_config=tuple(adv),
-                alg_cost=1, adv_cost=adv_inc, hamming=dist, state_mask=_state_mask(q, adv),
-            ))
-        if dist == 0:
-            if q != adv:
-                raise AssertionError("distance bookkeeping diverged from configurations")
-            phase_lengths.append(phase_steps)
-            phase_steps = 0
-            completed_alg = alg_cost
-            completed_adv = adv_cost
-            gen = np.random.default_rng(np.random.SeedSequence((seed, len(phase_lengths))))
-            buf = gen.integers(0, den, size=256).tolist()
-            pos = 0
+        lengths.append(steps - begin)
 
-    phases_done = len(phase_lengths)
-    if phases_done:
-        mean_len = sum(phase_lengths) / phases_done
-        max_len = max(phase_lengths)
-        if phases_done > 1:
-            var = sum((x - mean_len) ** 2 for x in phase_lengths) / (phases_done - 1)
-            se = sqrt(var / phases_done)
-        else:
-            se = 0.0
-        ratio = Fraction(completed_alg, completed_adv)
-    else:
-        mean_len, max_len, se, ratio = 0.0, 0, 0.0, None
+    phases = len(lengths)
+    alg_cost = sum(lengths)
+    mean_len, max_len, se, ratio = 0.0, 0, 0.0, None
+    if phases:
+        mean_len, max_len, ratio = alg_cost / phases, max(lengths), Fraction(alg_cost, phases)
+    if phases > 1:
+        se = sqrt(sum((x - mean_len) ** 2 for x in lengths) / (phases - 1) / phases)
     summary = RunSummary(
-        alg_cost=completed_alg, adv_cost=completed_adv, ratio=ratio,
-        phases=phases_done, mean_phase_length=mean_len, max_phase_length=max_len,
-        phase_length_se=se, steps=steps, seed=config.seed,
-        policy=tuple(policy.as_strs()), adversary=config.adversary,
-        k=k, n=spec.n, exhausted=exhausted,
+        alg_cost=alg_cost, adv_cost=phases, ratio=ratio, phases=phases,
+        mean_phase_length=mean_len, max_phase_length=max_len, phase_length_se=se,
+        steps=steps, seed=config.seed, policy=tuple(config.policy.as_strs()),
+        adversary=config.adversary, k=k, n=config.spec.n, exhausted=exhausted,
     )
-    return summary, trace
+    return summary, None if drawn is None else _replay(config, drawn)
 
 
 def estimate_ratio(config: ExperimentConfig, phases: int | None = None):

@@ -1,6 +1,7 @@
 """Potential machinery: table consistency, exact drifts, trace audits."""
 
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkserver.chains import harmonic_eet
+from gkserver.cli import EXIT_VERIFY, main
 from gkserver.harmonic import alpha, alpha_table
 from gkserver.potential import (
     PotentialContext,
@@ -235,8 +237,26 @@ def _stray_move(trace):
     return index, {"alg_config": tuple(q)}
 
 
+def _request_off_adversary(trace):
+    # the revealed coordinate's request becomes the third point: the policy
+    # still serves the request where it moved, the adversary nowhere
+    q_prev = trace.q0
+    for index, s in enumerate(trace.steps):
+        j = next(i for i in range(trace.k) if s.alg_config[i] != q_prev[i])
+        m = next(i for i in range(trace.k) if s.adv_config[i] == s.request[i])
+        if m != j:
+            r = list(s.request)
+            r[m] = 3 - s.adv_config[m] - q_prev[m]
+            return index, {"request": tuple(r)}
+        q_prev = s.alg_config
+    raise AssertionError("no such step")
+
+
 # kind -> tamper(trace) giving (step index, field changes)
 _TAMPERS = {
+    # step 2 requests step 1's configuration, which the policy still holds
+    "request_already_served": lambda tr: (1, {"request": tr.steps[0].alg_config}),
+    "request_not_served_by_adversary": _request_off_adversary,
     "alg_cost_mismatch": lambda tr: (0, {"alg_cost": 0}),
     "adv_cost_mismatch": lambda tr: (1, {"adv_cost": tr.steps[1].adv_cost + 1}),
     "time_not_consecutive": lambda tr: (1, {"t": tr.steps[1].t + 1}),
@@ -257,6 +277,18 @@ def test_verify_trace_flags_tampered_premise(kind):
     assert not report.ok
     assert any(v["kind"] == kind and v["t"] == trace.steps[index].t
                for v in report.hard_violations)
+
+
+@pytest.mark.parametrize("kind", ["request_already_served", "request_not_served_by_adversary"])
+def test_verify_cli_reports_broken_drift_premise(kind, tmp_path, capsys):
+    trace = _uniform_trace(3, 50, seed=21)
+    index, changes = _TAMPERS[kind](trace)
+    trace.steps[index] = dataclasses.replace(trace.steps[index], **changes)
+    path = tmp_path / "t.csv"
+    write_trace_csv(trace, str(path))
+    assert main(["verify", str(path)]) == EXIT_VERIFY
+    report = json.loads(capsys.readouterr().out)
+    assert {"t": trace.steps[index].t, "kind": kind} in report["hard_violations"]
 
 
 _COLUMN_KINDS = {

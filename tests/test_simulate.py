@@ -3,7 +3,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkserver.simulate import (
     TraceStep,
@@ -20,6 +23,7 @@ from gkserver.simulate import (
     transition_counts,
     write_trace_csv,
 )
+from gkserver.simulate import _phase_streams
 from gkserver.subsets import MemorylessPolicy
 
 
@@ -309,6 +313,49 @@ def test_run_matches_reference_step_functions_skewed_policy():
     })
     _, trace = run(cfg)
     assert trace.steps == _replay_with_reference_functions(cfg)
+
+
+def test_run_matches_reference_step_functions_denominator_above_2_32():
+    # 4294967311 is prime, so the common denominator needs numpy's 64-bit draws
+    cfg = ExperimentConfig.from_dict({
+        "k": 3, "n": [3, 3, 3],
+        "policy": ["1/3", "1431655770/4294967311", "4294967312/12884901933"],
+        "adversary": "lower_bound", "phases": 60, "seed": 2**33, "emit_trace": True,
+    })
+    _, trace = run(cfg)
+    assert trace.steps == _replay_with_reference_functions(cfg)
+
+
+def _numpy_stream(seed, i):
+    """(state, inc) of the PCG64 that numpy seeds from SeedSequence((seed, i))."""
+    state = np.random.PCG64(np.random.SeedSequence((seed, i))).state
+    assert state["has_uint32"] == 0 and state["uinteger"] == 0
+    return state["state"]["state"], state["state"]["inc"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**200])
+def test_phase_streams_match_numpy_seeding(seed):
+    for i in (0, 1, 1023, 1024, 2**32 - 1, 2**32):
+        first = i - i % 1024
+        assert _phase_streams(seed, first, first + 1024)[i - first] == _numpy_stream(seed, i)
+        assert _phase_streams(seed, i, i + 1) == [_numpy_stream(seed, i)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**300), st.integers(0, 2**70), st.integers(0, 1023), st.integers(1, 1024))
+def test_phase_streams_property(seed, block, offset, length):
+    first = block * 1024 + offset
+    stop = min(first + length, (block + 1) * 1024)
+    streams = _phase_streams(seed, first, stop)
+    assert len(streams) == stop - first
+    for i in {first, (first + stop) // 2, stop - 1}:
+        assert streams[i - first] == _numpy_stream(seed, i)
+
+
+def test_phase_streams_reject_ranges_across_blocks():
+    for start, stop in ((1000, 1100), (5, 5), (-1, 3)):
+        with pytest.raises(ValueError):
+            _phase_streams(0, start, stop)
 
 
 def test_trace_csv_round_trip(tmp_path):

@@ -1,0 +1,109 @@
+"""Golden outputs of run(): summaries and trace bytes pinned for fixed seeds.
+
+The values were recorded from the per-phase loop that predates the
+mask-walk kernel; the kernel must reproduce them exactly (same draws,
+same summary floats, byte-identical trace CSV).
+"""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+from gkserver.simulate import ExperimentConfig, run, write_trace_csv
+
+
+def _cfg(k, n, policy, adversary, phases, seed, **extra):
+    d = {"k": k, "n": [n] * k, "policy": policy, "adversary": adversary,
+         "phases": phases, "seed": seed}
+    d.update(extra)
+    return d
+
+
+CONFIGS = {
+    # the five configs of the benchmark's simulate cycle, at small phase counts
+    "lb2": _cfg(2, 3, ["1/2"] * 2, "lower_bound", 60, 11),
+    "lb4": _cfg(4, 3, ["1/4"] * 4, "lower_bound", 20, 12),
+    "lb6": _cfg(6, 3, ["1/6"] * 6, "lower_bound", 4, 20),
+    "n2k4": _cfg(4, 2, ["1/4"] * 4, "n2", 40, 14),
+    "skew3": _cfg(3, 3, ["1/2", "1/3", "1/6"], "lower_bound", 40, 15),
+    # more than two 1024-phase seeding blocks
+    "lb2_blocks": _cfg(2, 3, ["1/2"] * 2, "lower_bound", 2100, 16),
+    # weights up to 10^6: a common denominator of 2265432
+    "weights_1e6": _cfg(3, 3, ["1000000/2265432", "765433/2265432", "499999/2265432"],
+                        "lower_bound", 30, 17),
+    # ends by the step budget in the middle of a phase
+    "max_steps": _cfg(4, 3, ["1/4"] * 4, "lower_bound", 10**6, 19, max_steps=777),
+    # seeds of two words and of seven words (longer than the 4-word pool)
+    "seed_2_40": _cfg(3, 3, ["1/3"] * 3, "lower_bound", 30, 2**40),
+    "seed_2_200": _cfg(3, 2, ["1/3"] * 3, "n2", 30, 2**200),
+}
+
+GOLDEN = {
+    "lb2": {"alg_cost": 194, "adv_cost": 60, "ratio": "97/30", "phases": 60,
+            "mean_phase_length": 3.2333333333333334, "max_phase_length": 29,
+            "phase_length_se": 0.5499700385607393, "steps": 194, "exhausted": False},
+    "lb4": {"alg_cost": 1332, "adv_cost": 20, "ratio": "333/5", "phases": 20,
+            "mean_phase_length": 66.6, "max_phase_length": 201,
+            "phase_length_se": 14.927791108145271, "steps": 1332, "exhausted": False},
+    "lb6": {"alg_cost": 3848, "adv_cost": 4, "ratio": "962/1", "phases": 4,
+            "mean_phase_length": 962.0, "max_phase_length": 2876,
+            "phase_length_se": 677.6492455540698, "steps": 3848, "exhausted": False},
+    "n2k4": {"alg_cost": 654, "adv_cost": 40, "ratio": "327/20", "phases": 40,
+             "mean_phase_length": 16.35, "max_phase_length": 65,
+             "phase_length_se": 2.3851974062258803, "steps": 654, "exhausted": False},
+    "skew3": {"alg_cost": 959, "adv_cost": 40, "ratio": "959/40", "phases": 40,
+              "mean_phase_length": 23.975, "max_phase_length": 128,
+              "phase_length_se": 4.338629037273977, "steps": 959, "exhausted": False},
+    "lb2_blocks": {"alg_cost": 8470, "adv_cost": 2100, "ratio": "121/30", "phases": 2100,
+                   "mean_phase_length": 4.033333333333333, "max_phase_length": 46,
+                   "phase_length_se": 0.10117805454737513, "steps": 8470, "exhausted": False},
+    "weights_1e6": {"alg_cost": 952, "adv_cost": 30, "ratio": "476/15", "phases": 30,
+                    "mean_phase_length": 31.733333333333334, "max_phase_length": 141,
+                    "phase_length_se": 6.3167235311182, "steps": 952, "exhausted": False},
+    "max_steps": {"alg_cost": 770, "adv_cost": 12, "ratio": "385/6", "phases": 12,
+                  "mean_phase_length": 64.16666666666667, "max_phase_length": 294,
+                  "phase_length_se": 24.678795134546768, "steps": 777, "exhausted": True},
+    "seed_2_40": {"alg_cost": 354, "adv_cost": 30, "ratio": "59/5", "phases": 30,
+                  "mean_phase_length": 11.8, "max_phase_length": 60,
+                  "phase_length_se": 3.17801354857756, "steps": 354, "exhausted": False},
+    "seed_2_200": {"alg_cost": 238, "adv_cost": 30, "ratio": "119/15", "phases": 30,
+                   "mean_phase_length": 7.933333333333334, "max_phase_length": 31,
+                   "phase_length_se": 1.6378661007495923, "steps": 238, "exhausted": False},
+}
+
+TRACE_SHA256 = {
+    # the config of acceptance criterion 10
+    "criterion_10": (_cfg(3, 3, ["1/3"] * 3, "lower_bound", 500, 1010, emit_trace=True),
+                     "8284eb463faf02fbd79becb5f2bda7d6fd54b20b3dc0ea835d2841fc243daff5"),
+    "n2k4": (_cfg(4, 2, ["1/4"] * 4, "n2", 200, 5, emit_trace=True),
+             "b0ea72b30083399055fb0f1bca2b336521327240636a8f659ca03c447c01e075"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_summary_golden(name):
+    cfg = ExperimentConfig.from_dict(CONFIGS[name])
+    summary, trace = run(cfg)
+    assert trace is None
+    golden = GOLDEN[name]
+    assert summary.to_dict() == {
+        **golden,
+        "ratio_float": float(Fraction(golden["ratio"])),
+        "seed": cfg.seed,
+        "policy": list(cfg.policy.as_strs()),
+        "adversary": cfg.adversary,
+        "k": cfg.spec.k,
+        "n": list(cfg.spec.n),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+def test_trace_csv_golden_sha256(name, tmp_path):
+    d, digest = TRACE_SHA256[name]
+    summary, trace = run(ExperimentConfig.from_dict(d))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    # the trace-less run draws the same summary
+    assert run(ExperimentConfig.from_dict({**d, "emit_trace": False}))[0] == summary
