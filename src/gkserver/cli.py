@@ -250,16 +250,21 @@ def _sweep_cell(payload):
     bound = lower_bound_hk(policy)
     gap = competitive_gap(policy, sol)
     sim_ratio = ""
+    status = "ok"
     if phases > 0:
-        config = ExperimentConfig(
-            spec=MetricSpec(n=tuple(3 for _ in range(k))), policy=policy,
-            adversary="lower_bound", phases=phases, seed=seed + index,
-        )
-        ratio, _ = estimate_ratio(config)
-        sim_ratio = f"{float(ratio):.6g}"
+        try:
+            config = ExperimentConfig(
+                spec=MetricSpec(n=tuple(3 for _ in range(k))), policy=policy,
+                adversary="lower_bound", phases=phases, seed=seed + index,
+            )
+        except ConfigError as exc:
+            status = f"simulation rejected: {exc}"
+        else:
+            ratio, _ = estimate_ratio(config)
+            sim_ratio = f"{float(ratio):.6g}"
     return {
         "policy": ",".join(policy.as_strs()),
-        "status": "ok",
+        "status": status,
         "h_k": rational_to_str(sol.h_k),
         "bound": rational_to_str(bound),
         "gap": rational_to_str(gap),

@@ -8,9 +8,9 @@ distance. Against any adversary it satisfies, for the uniform policy:
   adversary cost (hard per-step inequality on realized values), and
 * each forced policy move lowers the potential by at least 1 *in
   expectation* (an expectation statement: the realized drop can be
-  negative, so the verifier recomputes the exact expectation over the k
-  possible moves and accounts the realized-minus-expected difference as
-  a martingale residual).
+  negative, so the verifier recomputes the exact expectation of each
+  move from the configurations and accounts the realized-minus-expected
+  difference as a martingale residual).
 
 Telescoping the two gives total policy cost <= k * a(k) * adversary cost
 plus boundary potentials minus the residual, which verify_trace checks
@@ -155,6 +155,21 @@ def _diff_mask(a, b, bits) -> int:
     return sum(compress(bits, map(ne, a, b)))
 
 
+def _scaled_drops(ctx: PotentialContext) -> list[list[int]]:
+    """k times the expected drop of a forced uniform-policy move, indexed [d][c].
+
+    d = d_H(q, adv) before the move and c = |{i : adv_i = r_i}|, with
+    1 <= c <= d: q serves r nowhere, so every metric where the adversary
+    serves lies among the d that differ. Moving one of those c servers
+    lowers the distance by one, moving one of the k - d servers that agree
+    raises it by one, and any other move keeps it, so
+    k * E[drop] = c (h[d] - h[d-1]) - (k - d) (h[d+1] - h[d]).
+    """
+    k, h = ctx.k, ctx.h + (0,)  # h[k + 1] is weighted by k - d = 0
+    return [[c * (h[d] - h[d - 1]) - (k - d) * (h[d + 1] - h[d]) for c in range(d + 1)]
+            for d in range(k + 1)]
+
+
 def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     """Audit a uniform-policy trace step by step.
 
@@ -171,7 +186,9 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     the previous policy configuration already serves, or the adversary
     does not serve, breaks the premises of that expectation: it is a
     hard violation and adds no drift. Finally the telescoped bound is
-    checked exactly.
+    checked exactly. Every expected drop is an integer over k, so the
+    audit keeps k times each expected quantity as an integer and builds
+    the report's fractions once at the end.
     """
     policy = trace.policy
     if not policy.is_uniform:
@@ -184,6 +201,7 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
 
     bound = ctx.step_bound
     h = ctx.h
+    drops = _scaled_drops(ctx)
     phi_start = potential(trace.q0, trace.adv0, ctx)
     q_prev = trace.q0
     adv_prev = trace.adv0
@@ -191,10 +209,9 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     t_prev = 0
     bits = tuple(1 << i for i in range(k))
     full = (1 << k) - 1
-    residual = Fraction(0)
-    expected_total = Fraction(0)
+    expected_total = 0             # k * the sum of expected drops
     realized_total = 0
-    min_drift: Fraction | None = None
+    min_drift: int | None = None   # k * the smallest expected drop
     violations: list[dict] = []
     alg_cost = 0
     adv_cost = 0
@@ -229,18 +246,17 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
         if stray := moved & unserved:
             violations.append({"t": s.t, "kind": "move_not_to_request",
                                "coordinates": [i for i in range(k) if stray >> i & 1]})
-        # expected_drift's premises: the move is forced, the adversary serves r
+        # the expected drop's premises: the move is forced, the adversary serves r
         forced = not any(map(eq, q_prev, r))
         if not forced:
             violations.append({"t": s.t, "kind": "request_already_served"})
-        if not any(map(eq, adv, r)):
+        served = sum(map(eq, adv, r))
+        if not served:
             violations.append({"t": s.t, "kind": "request_not_served_by_adversary"})
         elif forced:
-            drop = h[d_mid] - h[d_new]
-            exp_drop = expected_drift(q_prev, adv, r, policy, ctx)
-            residual += drop - exp_drop
+            exp_drop = drops[d_mid][served]
             expected_total += exp_drop
-            realized_total += drop
+            realized_total += h[d_mid] - h[d_new]
             if min_drift is None or exp_drop < min_drift:
                 min_drift = exp_drop
         alg_cost += s.alg_cost
@@ -248,17 +264,18 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
         q_prev, adv_prev, d_prev, t_prev = q, adv, d_new, s.t
 
     phi_end = h[d_prev]
-    bound_holds = alg_cost <= bound * adv_cost + phi_start - phi_end - residual
+    residual = k * realized_total - expected_total  # k * (realized - expected)
+    bound_holds = k * alg_cost <= k * (bound * adv_cost + phi_start - phi_end) - residual
     return TraceReport(
         steps=len(trace.steps),
         alg_cost=alg_cost,
         adv_cost=adv_cost,
         potential_start=phi_start,
         potential_end=phi_end,
-        residual=residual,
-        expected_drop_total=expected_total,
+        residual=Fraction(residual, k),
+        expected_drop_total=Fraction(expected_total, k),
         realized_drop_total=realized_total,
-        min_expected_drift=min_drift,
+        min_expected_drift=None if min_drift is None else Fraction(min_drift, k),
         hard_violations=violations,
         bound_holds=bound_holds,
     )

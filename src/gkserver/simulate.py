@@ -137,6 +137,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"the n2 adversary needs exactly 2 points in every metric; got n={list(self.spec.n)}"
             )
+        # draws and thresholds are int64: a larger denominator cannot be drawn,
+        # and a threshold of 2^63 would turn the metric search into float64
+        den = _thresholds(self.policy)[0]
+        if den >= 2**63:
+            raise ConfigError(f"the policy's common denominator {den} is not below 2^63")
         if self.phases < 1:
             raise ConfigError(f"phases must be >= 1, got {self.phases}")
         if self.max_steps < 1:
@@ -316,7 +321,7 @@ def n2_adversary_step(q_prev, adv_prev):
     return adv_next, r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     t: int
     request: tuple[int, ...]
@@ -596,16 +601,29 @@ def transition_counts(trace: Trace) -> dict[tuple[int, int], int]:
 
 
 def _join(cfg) -> str:
-    return ";".join(str(x) for x in cfg)
+    return ";".join(map(str, cfg))
 
 
 def _split(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.split(";"))
+    return tuple(map(int, s.split(";")))
+
+
+class _Memo(dict):
+    """A dict that computes each missing value once with `convert`: a trace
+    repeats few configurations, so each is joined, or parsed, once."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Deterministic CSV with a self-describing comment header."""
-    lines = [
+    header = [
         "# gkserver-trace v1",
         f"# k={trace.k}",
         f"# n={_join(trace.n)}",
@@ -616,19 +634,26 @@ def write_trace_csv(trace: Trace, path: str) -> None:
         f"# adv0={_join(trace.adv0)}",
         "t,request,alg_config,adv_config,alg_cost,adv_cost,hamming,state_mask",
     ]
-    for s in trace.steps:
-        lines.append(
-            f"{s.t},{_join(s.request)},{_join(s.alg_config)},{_join(s.adv_config)},"
-            f"{s.alg_cost},{s.adv_cost},{s.hamming},{s.state_mask}"
-        )
+    text = _Memo(_join)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        fh.writelines(
+            f"{s.t},{text[s.request]},{text[s.alg_config]},{text[s.adv_config]},"
+            f"{s.alg_cost},{s.adv_cost},{s.hamming},{s.state_mask}\n"
+            for s in trace.steps
+        )
 
 
 def read_trace_csv(path: str) -> Trace:
-    """Parse a trace written by write_trace_csv; raises ValueError on malformed input."""
+    """Parse a trace written by write_trace_csv; raises ValueError on malformed input.
+
+    Malformed includes a header n that does not list k metrics and a
+    configuration or request of the wrong width or with a point outside
+    its metric's 0..n_i - 1; the error names the first step that holds it.
+    """
     meta: dict[str, str] = {}
     steps: list[TraceStep] = []
+    configs = _Memo(_split)  # also lets each distinct configuration be checked once
     header_seen = False
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -651,8 +676,8 @@ def read_trace_csv(path: str) -> Trace:
             if len(parts) != 8:
                 raise ValueError(f"line {lineno}: expected 8 fields, got {len(parts)}")
             steps.append(TraceStep(
-                t=int(parts[0]), request=_split(parts[1]), alg_config=_split(parts[2]),
-                adv_config=_split(parts[3]), alg_cost=int(parts[4]), adv_cost=int(parts[5]),
+                t=int(parts[0]), request=configs[parts[1]], alg_config=configs[parts[2]],
+                adv_config=configs[parts[3]], alg_cost=int(parts[4]), adv_cost=int(parts[5]),
                 hamming=int(parts[6]), state_mask=int(parts[7]),
             ))
     required = {"k", "n", "policy", "adversary", "seed", "q0", "adv0"}
@@ -669,9 +694,17 @@ def read_trace_csv(path: str) -> Trace:
         adversary=meta["adversary"], seed=int(meta["seed"]),
         q0=_split(meta["q0"]), adv0=_split(meta["adv0"]), steps=steps,
     )
-    if trace.k != len(trace.q0) or trace.k != policy.k:
-        raise ValueError("trace header is inconsistent (k vs q0 vs policy length)")
-    for s in steps:
-        if len(s.request) != trace.k or len(s.alg_config) != trace.k or len(s.adv_config) != trace.k:
-            raise ValueError(f"step t={s.t}: configuration width differs from k={trace.k}")
+    if trace.k != len(trace.n) or trace.k != len(trace.q0) or trace.k != policy.k:
+        raise ValueError("trace header is inconsistent (k vs n vs q0 vs policy length)")
+    spec = MetricSpec(n=trace.n)
+    _validate_config_point(spec, trace.q0, "q0")
+    _validate_config_point(spec, trace.adv0, "adv0")
+    try:
+        for cfg in configs.values():
+            _validate_config_point(spec, cfg, "configuration")
+    except ConfigError:
+        for s in steps:
+            for column in ("request", "alg_config", "adv_config"):
+                _validate_config_point(spec, getattr(s, column), f"step t={s.t}: {column}")
+        raise
     return trace

@@ -200,6 +200,58 @@ def test_verify_rejects_empty_trace(tmp_path):
     assert run_cli("verify", str(trace)) == EXIT_VALIDATION
 
 
+def _simulated_trace(tmp_path, capsys, k=3):
+    trace = tmp_path / "t.csv"
+    path = _write_config(tmp_path, k=k, n=[3] * k, policy=[f"1/{k}"] * k, phases=20,
+                         emit_trace=True, trace_path=str(trace))
+    assert run_cli("simulate", str(path)) == EXIT_OK
+    capsys.readouterr()
+    return trace
+
+
+def test_verify_rejects_points_outside_the_metric(tmp_path, capsys):
+    trace = _simulated_trace(tmp_path, capsys)
+    lines = trace.read_text().splitlines()
+    head, rows = lines[:9], lines[9:]
+    first = next(i for i, row in enumerate(rows) if "2" in row.split(",")[1])
+    # every point 2 of the 3-point metrics becomes 7 in the step columns
+    rows = [",".join([f[0], *(c.replace("2", "7") for c in f[1:4]), *f[4:]])
+            for f in (row.split(",") for row in rows)]
+    trace.write_text("\n".join(head + rows) + "\n")
+    assert run_cli("verify", str(trace)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"step t={first + 1}: request coordinate" in err and "= 7 outside 0..2" in err
+
+
+def test_verify_rejects_header_n_of_another_width(tmp_path, capsys):
+    trace = _simulated_trace(tmp_path, capsys)
+    text = trace.read_text()
+    assert "# n=3;3;3\n" in text
+    trace.write_text(text.replace("# n=3;3;3\n", "# n=3;3\n"))
+    assert run_cli("verify", str(trace)) == EXIT_VALIDATION
+    assert "malformed trace" in capsys.readouterr().err
+
+
+# a common denominator of 2^64 - 59 cannot be drawn by int64 generators
+HUGE_DEN = ["9223372036854775783/18446744073709551557", "9223372036854775774/18446744073709551557"]
+
+
+def test_simulate_rejects_denominator_beyond_int64(tmp_path, capsys):
+    path = _write_config(tmp_path, policy=HUGE_DEN)
+    assert run_cli("simulate", str(path)) == EXIT_VALIDATION
+    assert "2^63" in capsys.readouterr().err
+
+
+def test_sweep_reports_unsimulable_cell(capsys):
+    grid = ",".join(HUGE_DEN) + ";1/2,1/2"
+    assert run_cli("--format", "csv", "sweep", "--k", "2", "--grid", grid,
+                   "--phases", "50") == EXIT_OK
+    rows = _parse_csv(capsys.readouterr().out)[1:]
+    assert rows[0][4] == "" and rows[0][5].startswith("simulation rejected:")
+    assert rows[0][1] == "18446744073709551557/4611686018427387887"
+    assert rows[1][5] == "ok" and rows[1][4]
+
+
 def _parse_csv(text):
     import csv
     import io

@@ -1,6 +1,7 @@
 """Potential machinery: table consistency, exact drifts, trace audits."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -14,13 +15,20 @@ from gkserver.cli import EXIT_VERIFY, main
 from gkserver.harmonic import alpha, alpha_table
 from gkserver.potential import (
     PotentialContext,
+    _scaled_drops,
     delta_h,
     expected_drift,
     hamming,
     potential,
     verify_trace,
 )
-from gkserver.simulate import ExperimentConfig, read_trace_csv, run, write_trace_csv
+from gkserver.simulate import (
+    ADVERSARY_KINDS,
+    ExperimentConfig,
+    read_trace_csv,
+    run,
+    write_trace_csv,
+)
 from gkserver.subsets import MemorylessPolicy
 
 
@@ -131,9 +139,10 @@ def test_expected_drift_rejects_bad_inputs():
         expected_drift((0, 0), (1, 1), (2, 2), policy, ctx)
 
 
-def _uniform_trace(k: int, phases: int, seed: int):
+def _uniform_trace(k: int, phases: int, seed: int, adversary: str = "lower_bound"):
+    n = 2 if adversary == "n2" else 3
     cfg = ExperimentConfig.from_dict({
-        "k": k, "n": [3] * k, "policy": [f"1/{k}"] * k, "adversary": "lower_bound",
+        "k": k, "n": [n] * k, "policy": [f"1/{k}"] * k, "adversary": adversary,
         "phases": phases, "seed": seed, "emit_trace": True,
     })
     _, trace = run(cfg)
@@ -313,3 +322,94 @@ def test_edited_trace_column_fails_audit_after_csv_round_trip(tmp_path_factory, 
     report = verify_trace(read_trace_csv(str(path)))
     assert not report.ok
     assert _COLUMN_KINDS[column] in {v["kind"] for v in report.hard_violations}
+
+
+def _report_sha256(report) -> str:
+    return hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of verify_trace(...).to_dict() as sorted JSON, recorded from the audit
+# that summed expected_drift's Fractions step by step; the integer accounting
+# must reproduce every report exactly. name -> ((k, adversary, phases, seed), digest)
+_GOLDEN_REPORTS = {
+    "lb_k1": ((1, "lower_bound", 100, 4),
+              "3362d3e9bc784aca4e0b642988900be36bbc1c48c9f1d752867d940bead2d089"),
+    "lb_k2": ((2, "lower_bound", 300, 9),
+              "7448a2ab6d4af70a9f41983fd99a4afaec3385de494f398eebca3ba8b607d547"),
+    "lb_k3": ((3, "lower_bound", 100, 13),
+              "a7cc6c9cbb865b33d17ed21c533b17c2f1fb5e3222633dc46f22fe08cf012ce4"),
+    "lb_k4": ((4, "lower_bound", 15, 5),
+              "e367777e2728717dacfb0351111cd8151e98400077ebeaec5d2b27d3a392085d"),
+    "lb_k5": ((5, "lower_bound", 4, 7),
+              "39fa594e32f818f1788b0c4c33cf0dd999e1eb70f9a05ff2c34be76a98736739"),
+    "lb_k6": ((6, "lower_bound", 2, 3),
+              "0734c5cbf28eadd188dd2c0524b3033ebb58fd16b835471cecff63d2a7ddf330"),
+    # n2 requests are anti-configurations: expected drops above 1 occur
+    "n2_k2": ((2, "n2", 100, 1),
+              "dcb33971c15f3d0f6116cc3da20bb5242381f5ce6f2c0d05a39e784eb68c2286"),
+    "n2_k3": ((3, "n2", 40, 2),
+              "60f0cf57b0fb0ed2b9fb30d50fd198b8169cbda36041dbc286ed3429ffe20432"),
+    "n2_k4": ((4, "n2", 10, 3),
+              "25f192041306564f1154ea0cc4a48510ec9cf1020294260e8ea7a2266ac9408a"),
+    "n2_k5": ((5, "n2", 3, 4),
+              "db3ed9514a0c6538356cec3a2c827b8e095effee845688c3fe381a2bb5b19261"),
+    "n2_k6": ((6, "n2", 1, 6),
+              "f182b7bb00935372805710d74fcb1804f66a033f2ffb85fcfaa313baf9af22b3"),
+}
+
+# the same digests for each _TAMPERS case applied to _uniform_trace(3, 50, seed=21)
+_GOLDEN_TAMPERED_REPORTS = {
+    "adv_cost_mismatch": "05f99254b98d655210883c731b5401515e9bd9fbeb6b8a3f767e6d89cbab32c1",
+    "alg_cost_mismatch": "3920d06428a997cd35ddc8f22f1e40c2bde9417b72bfba71266529a44cda4001",
+    "hamming_mismatch": "c56052bbf471a5151a9a4f847d76e5e4e98aeab24e541b2115aa317d0f6f7677",
+    "move_not_to_request": "2c1f96a8f1156050a4c51d3554d4a0f601b2447f67b030bb3984937c75f993a9",
+    "request_already_served":
+        "74e50d3a168d90f340671f5db01a1d9dffdca6202c2e4549cea780673e9b52a1",
+    "request_not_served": "a3a50af157070f210a0e275bf7cb76fa139e07566586f6375b76d37b85a9ab85",
+    "request_not_served_by_adversary":
+        "939e02fca0b50f9f5871c58431cac20e8d5b19b3a3899faf28e5c15f05aedce5",
+    "state_mask_mismatch": "8e62455ddae37fea86ffeab7ae83ccee0625c4fa19f690c357fdedf799ad2c02",
+    "time_not_consecutive": "5b7e7a3f60701d6540f927966d1738e6348c0a8e7c9fe26b39a28c9574f47cc4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_REPORTS))
+def test_verify_trace_report_golden(name):
+    (k, adversary, phases, seed), digest = _GOLDEN_REPORTS[name]
+    report = verify_trace(_uniform_trace(k, phases, seed, adversary))
+    assert report.ok
+    assert _report_sha256(report) == digest
+
+
+@pytest.mark.parametrize("kind", sorted(_TAMPERS))
+def test_verify_trace_tampered_report_golden(kind):
+    trace = _uniform_trace(3, 50, seed=21)
+    index, changes = _TAMPERS[kind](trace)
+    trace.steps[index] = dataclasses.replace(trace.steps[index], **changes)
+    assert _report_sha256(verify_trace(trace)) == _GOLDEN_TAMPERED_REPORTS[kind]
+
+
+_POINTS = st.lists(st.integers(0, 2), min_size=6, max_size=6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.sampled_from(ADVERSARY_KINDS), st.integers(0, 10**6),
+       st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["request", "adv_config"]),
+                          _POINTS), max_size=8))
+def test_scaled_expected_drop_equals_expected_drift(k, adversary, seed, edits):
+    # random traces, some steps with a random request or adversary configuration
+    trace = _uniform_trace(k, 2, seed, adversary)
+    n = 2 if adversary == "n2" else 3
+    for pick, column, points in edits:
+        index = pick % len(trace.steps)
+        trace.steps[index] = dataclasses.replace(
+            trace.steps[index], **{column: tuple(x % n for x in points[:k])})
+    ctx = PotentialContext.for_k(k)
+    drops = _scaled_drops(ctx)
+    q_prev = trace.q0
+    for s in trace.steps:
+        served = sum(a == r for a, r in zip(s.adv_config, s.request))
+        if served and all(q != r for q, r in zip(q_prev, s.request)):
+            scaled = drops[hamming(q_prev, s.adv_config)][served]
+            assert scaled == k * expected_drift(q_prev, s.adv_config, s.request, trace.policy, ctx)
+        q_prev = s.alg_config

@@ -23,7 +23,7 @@ from gkserver.simulate import (
     transition_counts,
     write_trace_csv,
 )
-from gkserver.simulate import _phase_streams
+from gkserver.simulate import _phase_streams, _thresholds
 from gkserver.subsets import MemorylessPolicy
 
 
@@ -324,6 +324,20 @@ def test_run_matches_reference_step_functions_denominator_above_2_32():
     })
     _, trace = run(cfg)
     assert trace.steps == _replay_with_reference_functions(cfg)
+
+
+@pytest.mark.parametrize("den, accepted", [(2**63 - 1, True), (2**63, False), (2**64 + 13, False)])
+def test_config_rejects_denominator_beyond_int64_draws(den, accepted):
+    half = den // 2 - 1  # coprime to den for the three cases
+    d = {"k": 2, "n": [3, 3], "policy": [f"{half}/{den}", f"{den - half}/{den}"],
+         "adversary": "lower_bound", "phases": 3, "seed": 1, "max_steps": 200}
+    if not accepted:
+        with pytest.raises(ConfigError, match="2\\^63"):
+            ExperimentConfig.from_dict(d)
+        return
+    cfg = ExperimentConfig.from_dict(d)
+    assert _thresholds(cfg.policy)[0] == den
+    assert run(cfg)[0].steps > 0
 
 
 def _numpy_stream(seed, i):
