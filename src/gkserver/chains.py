@@ -16,6 +16,9 @@ uniform metrics: the *harmonic chain* (down 1/k, up (k-i)/k) tracks the
 Hamming distance between the uniform policy and an adversary that always
 reveals one of its servers, and the *binary chain* (down i/k, up (k-i)/k)
 is the same walk when every metric space has only two points.
+
+simulate_extinction_times samples absorption times exactly from int64
+draws, so it rejects a chain whose common denominator is 2^63 or more.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .harmonic import alpha_table
+from .harmonic import alpha_table, exact_thresholds
 
 __all__ = [
     "BirthDeathChain",
@@ -266,34 +269,25 @@ def simulate_extinction_times(
 ) -> np.ndarray:
     """Monte-Carlo absorption times from state ell, one per walk.
 
-    Sampling is exact: thresholds are integer multiples of the common
-    denominator of each state's probabilities, and the walk consumes one
-    uniform integer per step from a PCG64 stream keyed by the seed.
+    Sampling is exact: thresholds are integers over the chain's common
+    denominator, which must be below 2^63 for int64 draws (ValueError otherwise),
+    and the walk consumes one uniform integer per step from a seeded PCG64 stream.
     """
     k = chain.k
     if not 1 <= ell <= k:
         raise ValueError(f"state out of range: {ell} not in 1..{k}")
-    dens = [(chain.down[i].denominator, chain.up[i].denominator) for i in range(k)]
-    den = int(np.lcm.reduce([np.lcm(a, b) for a, b in dens]))
-    down_t = [int(chain.down[i] * den) for i in range(k)]
-    up_t = [down_t[i] + int(chain.up[i] * den) for i in range(k)]
+    den, cuts = exact_thresholds(*zip(chain.down, chain.up))
+    down_t, up_t = zip(*cuts)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    out = np.empty(walks, dtype=np.int64)
-    buf = rng.integers(0, den, size=4096)
-    pos = 0
-    for w in range(walks):
-        state = ell
-        steps = 0
-        while state != 0:
-            if pos == len(buf):
-                buf = rng.integers(0, den, size=4096)
-                pos = 0
-            u = buf[pos]
-            pos += 1
+    times, state, steps = [], ell, 0
+    while len(times) < walks:  # a buffer's draws after the last walk go unused
+        for u in rng.integers(0, den, size=4096).tolist():
             steps += 1
             if u < down_t[state - 1]:
                 state -= 1
+                if not state:
+                    times.append(steps)
+                    state, steps = ell, 0
             elif u < up_t[state - 1]:
                 state += 1
-        out[w] = steps
-    return out
+    return np.array(times[:walks], dtype=np.int64)

@@ -97,14 +97,14 @@ def _parse_policy(spec: str) -> MemorylessPolicy:
     try:
         probs = [rational_from_str(tok) for tok in spec.split(",")]
         return MemorylessPolicy.from_probs(probs)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad policy {spec!r}: {exc}") from exc
 
 
 def _parse_tolerance(s: str) -> Fraction:
     try:
-        tolerance = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+        tolerance = rational_from_str(s)
+    except ValueError as exc:
         raise ConfigError(f"bad tolerance {s!r}: {exc}") from exc
     if tolerance <= 0:
         raise ConfigError(f"tolerance must be positive, got {s!r}")

@@ -16,7 +16,8 @@ uniform ("harmonic") memoryless policy: k * a(k) for k metric spaces.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, factorial
+from itertools import accumulate, islice
+from math import ceil, factorial, lcm
 
 Rational = Fraction
 
@@ -26,6 +27,8 @@ __all__ = [
     "alpha_closed_form",
     "alpha_table",
     "alpha_bounds_check",
+    "common_denominator",
+    "exact_thresholds",
     "e_over_approximation",
     "rational_to_str",
     "rational_from_str",
@@ -108,5 +111,28 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def rational_from_str(s: str) -> Fraction:
-    """Parse "num/den" or a plain integer string into a Fraction."""
-    return Fraction(s.strip())
+    """Parse "num/den" or a plain integer string into a Fraction; ValueError if den is 0."""
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
+
+
+def common_denominator(values) -> tuple[int, list[int]]:
+    """(den, nums) with den the lcm of the denominators of values and nums = values * den."""
+    den = 1
+    for v in values:
+        if den % v.denominator:
+            den = lcm(den, v.denominator)
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def exact_thresholds(*rows) -> tuple[int, list[list[int]]]:
+    """(den, thresholds): the rows' common denominator and each row's cumulative integer
+    thresholds t, so u uniform below den lies in [t[j-1], t[j]) with probability row[j].
+    Raises ValueError unless den < 2^63: draws are int64, and numpy compares 2^63 in float64."""
+    den, nums = common_denominator([p for row in rows for p in row])
+    if den >= 2**63:
+        raise ValueError(f"common denominator {den} is not below 2^63")
+    nums = iter(nums)
+    return den, [list(accumulate(islice(nums, len(row)))) for row in rows]

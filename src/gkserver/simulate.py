@@ -34,12 +34,12 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, permutations, product
-from math import lcm, sqrt
+from itertools import chain, count, permutations, product
+from math import sqrt
 
 import numpy as np
 
-from .harmonic import rational_from_str
+from .harmonic import exact_thresholds, rational_from_str
 from .subsets import MemorylessPolicy
 
 __all__ = [
@@ -85,8 +85,8 @@ class MetricSpec:
         if not self.n:
             raise ConfigError("need at least one metric space")
         for i, ni in enumerate(self.n, start=1):
-            if ni < 2:
-                raise ConfigError(f"metric {i}: a uniform metric needs >= 2 points, got {ni}")
+            if type(ni) is not int or ni < 2:
+                raise ConfigError(f"metric {i}: a uniform metric needs >= 2 points, got {ni!r}")
 
     @property
     def k(self) -> int:
@@ -137,17 +137,17 @@ class ExperimentConfig:
             raise ConfigError(
                 f"the n2 adversary needs exactly 2 points in every metric; got n={list(self.spec.n)}"
             )
-        # draws and thresholds are int64: a larger denominator cannot be drawn,
-        # and a threshold of 2^63 would turn the metric search into float64
-        den = _thresholds(self.policy)[0]
-        if den >= 2**63:
-            raise ConfigError(f"the policy's common denominator {den} is not below 2^63")
-        if self.phases < 1:
-            raise ConfigError(f"phases must be >= 1, got {self.phases}")
-        if self.max_steps < 1:
-            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        try:
+            exact_thresholds(self.policy.probs)
+        except ValueError as exc:
+            raise ConfigError(f"the policy's {exc}") from exc
+        # JSON's true is an int to Python, and a float passes the range check
+        for name, low in (("phases", 1), ("max_steps", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if type(self.emit_trace) is not bool:
+            raise ConfigError(f"emit_trace must be true or false, got {self.emit_trace!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -156,7 +156,7 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"config missing fields: {sorted(missing)}")
         k = d["k"]
-        if not isinstance(k, int) or k < 1:
+        if type(k) is not int or k < 1:
             raise ConfigError(f"k must be a positive integer, got {k!r}")
         n = d["n"]
         if not isinstance(n, list) or len(n) != k:
@@ -167,7 +167,7 @@ class ExperimentConfig:
         try:
             probs = [rational_from_str(str(p)) for p in raw_policy]
             policy = MemorylessPolicy.from_probs(probs)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad policy {raw_policy!r}: {exc}") from exc
         # metrics travel with their probabilities under canonicalization
         n_canonical = tuple(n[i] for i in policy.source_order)
@@ -212,13 +212,6 @@ class ExperimentConfig:
         return d
 
 
-def _thresholds(policy: MemorylessPolicy) -> tuple[int, list[int]]:
-    """The policy's common denominator and cumulative integer thresholds:
-    u uniform below it picks the first j with u < thresholds[j], w.p. p_j."""
-    den = lcm(*(p.denominator for p in policy.probs))
-    return den, list(accumulate(p.numerator * (den // p.denominator) for p in policy.probs))
-
-
 class PolicySampler:
     """Exact sampler for a rational policy from a seeded integer stream.
 
@@ -229,19 +222,14 @@ class PolicySampler:
     """
 
     def __init__(self, policy: MemorylessPolicy, seed_key):
-        self._den, self._thresholds = _thresholds(policy)
-        self._rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-        self._buf = self._rng.integers(0, self._den, size=_CHUNK).tolist()
-        self._pos = 0
+        den, (self._thresholds,) = exact_thresholds(policy.probs)
+        rng = np.random.default_rng(np.random.SeedSequence(seed_key))
+        self._draws = chain.from_iterable(rng.integers(0, den, size=_CHUNK).tolist()
+                                          for _ in count())
 
     def draw(self) -> int:
         """0-based canonical metric index."""
-        if self._pos == len(self._buf):
-            self._buf = self._rng.integers(0, self._den, size=_CHUNK).tolist()
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return bisect_right(self._thresholds, u)
+        return bisect_right(self._thresholds, next(self._draws))
 
 
 def memoryless_step(q, r, policy: MemorylessPolicy, sampler: PolicySampler):
@@ -474,25 +462,28 @@ def _replay(config: ExperimentConfig, drawn: list[int]) -> Trace:
     trace = Trace(k=k, n=config.spec.n, policy=config.policy, adversary=config.adversary,
                   seed=config.seed, q0=q0, adv0=q0)
     flip = config.adversary == "n2"
-    q, adv, adv_t = list(q0), list(q0), q0
-    mask = 0
-    for t, b in enumerate(drawn, 1):
+
+    def move(key):
+        q, adv, mask, b = key
         adv_cost = 0 if mask else 1
         if not mask:
             mask = 1 << (k - 1)
-            adv[-1] = 1 - adv[-1]
-            adv_t = tuple(adv)
+            adv = adv[:-1] + (1 - adv[-1],)
         if flip:
-            r = [1 - x for x in q]
+            r = tuple(1 - x for x in q)
         else:
             m = (mask & -mask).bit_length() - 1
-            r = [adv[i] if i == m else _FREE[q[i]][adv[i]] for i in range(k)]
+            r = tuple(adv[i] if i == m else _FREE[q[i]][adv[i]] for i in range(k))
         mask = mask ^ b if flip or b == mask & -mask else mask | b
         j = b.bit_length() - 1
-        q[j] = r[j]
-        trace.steps.append(TraceStep(t=t, request=tuple(r), alg_config=tuple(q),
-                                     adv_config=adv_t, alg_cost=1, adv_cost=adv_cost,
-                                     hamming=mask.bit_count(), state_mask=mask))
+        return r, q[:j] + r[j:j + 1] + q[j + 1:], adv, adv_cost, mask.bit_count(), mask
+
+    moves = _Memo(move)
+    q, adv, mask = q0, q0, 0
+    for t, b in enumerate(drawn, 1):
+        r, q, adv, adv_cost, hamming, mask = moves[q, adv, mask, b]
+        trace.steps.append(TraceStep(t=t, request=r, alg_config=q, adv_config=adv, alg_cost=1,
+                                     adv_cost=adv_cost, hamming=hamming, state_mask=mask))
     return trace
 
 
@@ -508,7 +499,7 @@ def run(config: ExperimentConfig):
     emit_trace, _replay rebuilds the configurations from the walk's bits.
     """
     k = config.spec.k
-    den, thresholds = _thresholds(config.policy)
+    den, (thresholds,) = exact_thresholds(config.policy.probs)
     cuts = np.array(thresholds)
     # a bit beyond the 63rd does not fit int64
     bits = np.array([1 << j for j in range(k)], dtype=np.int64 if k < 64 else object)
@@ -610,7 +601,7 @@ def _split(s: str) -> tuple[int, ...]:
 
 class _Memo(dict):
     """A dict that computes each missing value once with `convert`: a trace
-    repeats few configurations, so each is joined, or parsed, once."""
+    repeats few configurations and steps, so each is joined, parsed or replayed once."""
 
     def __init__(self, convert):
         super().__init__()

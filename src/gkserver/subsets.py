@@ -41,11 +41,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import islice
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 from typing import NamedTuple
 
-from .harmonic import alpha, alpha_table, rational_to_str
+from .harmonic import alpha, alpha_table, common_denominator, rational_to_str
 
 __all__ = [
     "MemorylessPolicy",
@@ -169,7 +169,7 @@ class SubsetSystem:
         Returns (W, [(mask, W b, columns, W coefficients), ...]). Every
         coefficient is a signed sum of p's entries, so W A is integral.
         """
-        w = lcm(*(q.denominator for q in self.policy.probs))
+        w = common_denominator(self.policy.probs)[0]
         return w, [
             (mask, b.numerator * (w // b.denominator), tuple(coeffs),
              tuple(v.numerator * (w // v.denominator) for v in coeffs.values()))
@@ -183,7 +183,7 @@ class SubsetSystem:
         integer vector delta (W b) - (W A) x.
         """
         w, rows = self.scaled_rows
-        delta, x = _common_denominator(h)
+        delta, x = common_denominator(h)
         worst = max(abs(wb * delta - sum(map(mul, vals, map(x.__getitem__, cols))))
                     for _, wb, cols, vals in rows)
         return Fraction(worst, w * delta)
@@ -250,16 +250,7 @@ class SubsetSolution:
     @cached_property
     def scaled(self) -> tuple[int, list[int]]:
         """(delta, x) with h = x / delta in integers, delta the lcm of h's denominators."""
-        return _common_denominator(self.h)
-
-
-def _common_denominator(h) -> tuple[int, list[int]]:
-    """(delta, x) with delta = lcm of the denominators of h and x = h * delta."""
-    delta = 1
-    for v in h:
-        if delta % v.denominator:
-            delta = lcm(delta, v.denominator)
-    return delta, [v.numerator * (delta // v.denominator) for v in h]
+        return common_denominator(self.h)
 
 
 class _Factors(NamedTuple):
@@ -607,9 +598,7 @@ def _scaled_drops(sol: SubsetSolution):
     W delta p_i (h(S) - h(S\\{i})), so the drop is drops(mask, i) / unit
     with unit = W delta, and the slack is sn / sd.
     """
-    p = sol.policy.probs
-    w = lcm(*(q.denominator for q in p))
-    weights = [q.numerator * (w // q.denominator) for q in p]
+    w, weights = common_denominator(sol.policy.probs)
     delta, x = sol.scaled
     slack = sol.check_slack
 

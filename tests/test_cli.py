@@ -323,3 +323,29 @@ def test_cli_subprocess_end_to_end(tmp_path):
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert json.loads(proc.stdout)["phases"] == 50
+
+
+def test_verify_rejects_zero_denominator_in_header_policy(tmp_path, capsys):
+    trace = _simulated_trace(tmp_path, capsys, k=2)
+    text = trace.read_text()
+    assert "# policy=1/2;1/2\n" in text
+    trace.write_text(text.replace("# policy=1/2;1/2\n", "# policy=1/0;1/2\n"))
+    assert run_cli("verify", str(trace)) == EXIT_VALIDATION
+    assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"phases": "10"}, "phases must be an integer >= 1, got '10'"),
+    ({"max_steps": "9"}, "max_steps must be an integer >= 1, got '9'"),
+    ({"phases": 1.5}, "phases must be an integer >= 1, got 1.5"),
+    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ({"seed": True}, "seed must be an integer >= 0, got True"),
+    ({"n": ["3", 3]}, "needs >= 2 points, got '3'"),
+    ({"n": [3.0, 3]}, "needs >= 2 points, got 3.0"),
+    ({"emit_trace": 0}, "emit_trace must be true or false, got 0"),
+    ({"k": True, "n": [3], "policy": ["1"]}, "k must be a positive integer, got True"),
+])
+def test_simulate_rejects_mistyped_config_field(overrides, message, tmp_path, capsys):
+    path = _write_config(tmp_path, **overrides)
+    assert run_cli("simulate", str(path)) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err

@@ -23,7 +23,8 @@ from gkserver.simulate import (
     transition_counts,
     write_trace_csv,
 )
-from gkserver.simulate import _phase_streams, _thresholds
+from gkserver.harmonic import exact_thresholds
+from gkserver.simulate import _phase_streams
 from gkserver.subsets import MemorylessPolicy
 
 
@@ -336,7 +337,7 @@ def test_config_rejects_denominator_beyond_int64_draws(den, accepted):
             ExperimentConfig.from_dict(d)
         return
     cfg = ExperimentConfig.from_dict(d)
-    assert _thresholds(cfg.policy)[0] == den
+    assert exact_thresholds(cfg.policy.probs)[0] == den
     assert run(cfg)[0].steps > 0
 
 
