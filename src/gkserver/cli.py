@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: alpha, chain, system, simulate, verify, sweep.
-Exit codes: 0 ok, 2 validation error, 3 solver failure, 4 step budget
-exhausted before the phase budget, 5 verification violation.
+Exit codes: 0 ok, 2 validation error (an unusable file path included),
+3 solver failure, 4 step budget exhausted before the phase budget,
+5 verification violation.
 
 Output is a human table on a TTY and CSV when redirected; --format
 forces one of table/csv/json. Rationals serialize as "num/den" strings
@@ -77,15 +78,15 @@ def _emit(headers, rows, fmt: str, out_path: str | None) -> None:
         for c in cells:
             lines.append("  ".join(x.ljust(w) for x, w in zip(c, widths)))
         text = "\n".join(lines)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(text, out_path)
 
 
 def _emit_json(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    _write(json.dumps(obj, indent=2, sort_keys=True), out_path)
+
+
+def _write(text: str, out_path: str | None) -> None:
+    """Print text, or write it with a final newline to out_path."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -145,11 +146,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_system(args) -> int:
-    try:
-        policy = _parse_policy(args.p)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    policy = _parse_policy(args.p)
     tolerance = _parse_tolerance(args.tolerance)
     try:
         sol = solve_system(policy, mode=args.mode, tolerance=tolerance)
@@ -180,28 +177,19 @@ def cmd_system(args) -> int:
     if args.csv:
         rows = [(mask, mask.bit_count(), sol.h[mask].numerator, sol.h[mask].denominator)
                 for mask in range(1 << policy.k)]
-        buf = io.StringIO()
-        w = _csv.writer(buf, lineterminator="\n")
-        w.writerow(["subset_mask", "subset_size", "h_num", "h_den"])
-        w.writerows(rows)
-        with open(args.csv, "w") as fh:
-            fh.write(buf.getvalue())
+        _emit(["subset_mask", "subset_size", "h_num", "h_den"], rows, "csv", args.csv)
     _emit_json(summary, args.out)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = ExperimentConfig.from_json_file(args.config)
-        if args.seed is not None:
-            d = config.to_dict()
-            d["seed"] = args.seed
-            config = ExperimentConfig.from_dict(d)
-        if config.emit_trace and not config.trace_path:
-            raise ConfigError("emit_trace is set but trace_path is missing from the config")
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    config = ExperimentConfig.from_json_file(args.config)
+    if args.seed is not None:
+        d = config.to_dict()
+        d["seed"] = args.seed
+        config = ExperimentConfig.from_dict(d)
+    if config.emit_trace and not config.trace_path:
+        raise ConfigError("emit_trace is set but trace_path is missing from the config")
     summary, trace = run(config)
     if trace is not None:
         write_trace_csv(trace, config.trace_path)
@@ -354,7 +342,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

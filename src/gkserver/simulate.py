@@ -148,6 +148,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if type(self.emit_trace) is not bool:
             raise ConfigError(f"emit_trace must be true or false, got {self.emit_trace!r}")
+        # an int path would make open() write to that file descriptor
+        for name in ("trace_path", "summary_path"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not str:
+                raise ConfigError(f"{name} must be a file path string, got {value!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -23,14 +23,18 @@ Subsets are k-bit masks: metric i (canonical order) is bit i-1.
 
 Solving: equations are eliminated in decreasing mask order, which keeps
 fill-in tiny (each reduced row touches only a handful of "tail" subsets).
-Both modes work on the integer system W A h = W b, W the lcm of p's
-denominators. The exact mode factors it once modulo a 521-bit prime,
-lifts the solution p-adically by substitution, rebuilds h = x / delta
-by rational reconstruction and returns it only if W A x == delta W b
-holds in integers; it runs through k = 12. The iterative mode factors
-once with the same elimination in float64, then refines by substitution
-alone, with exact integer residuals, until the requested tolerance is
-met. The residual and inequality checks compare integers too.
+The system is assembled in integers, as W A h = W b straight from the
+weights W p, W the lcm of p's denominators; its Fraction rows are only a
+view. The exact mode factors W A once modulo a 521-bit prime, lifts the
+solution p-adically by substitution, rebuilds h = x / delta by rational
+reconstruction and returns it only if W A x == delta W b holds in
+integers; it runs through k = 12. The iterative mode factors once with
+the same elimination in float64, then refines by substitution alone,
+with exact integer residuals, until the requested tolerance is met.
+Either solver hands its (delta, x) to the solution, and the inequality
+checks and the phi transform compare integer drops on it: at random
+k = 12 the two inequality checks take 0.2-0.3 s, where re-deriving
+(delta, x) from h made them 0.75-1.6 s.
 """
 
 from __future__ import annotations
@@ -66,10 +70,10 @@ __all__ = [
 
 # Every exact solve at k = 12 ends in seconds. Measured on a shared
 # 2-vCPU Xeon, Python 3.11: random policies (weights 1..40,
-# random.Random(1), (2), (3)) solve in 11.8, 6.8 and 6.7 s and check
-# monotonicity and the drop floor in 1.6, 0.84 and 0.75 s, at a peak RSS
-# of 73, 67 and 63 MB; solve time follows the common denominator of h
-# (16.8, 13.0 and 10.9 k bits). Uniform k = 12 takes 0.7 s.
+# random.Random(1), (2), (3)) solve in 10.5-11.2, 8.1 and 7.2 s and check
+# monotonicity and the drop floor in 0.28, 0.24 and 0.23 s, at a peak RSS
+# of 79, 73 and 70 MB (pytest loaded); solve time follows the common
+# denominator of h (16.8, 13.0 and 10.9 k bits). Uniform k = 12 takes 0.4 s.
 EXACT_MODE_MAX_K = 12
 # The largest k at which every iterative solve ends within about 10 s and
 # 0.6 GB, one that spends the whole 60-pass budget included. Measured on a
@@ -149,32 +153,26 @@ def _min_element(mask: int) -> int:
 
 @dataclass(frozen=True)
 class SubsetSystem:
-    """Sparse rows of the subset-state equations.
+    """The subset-state equations times W = lcm of p's denominators, in integers.
 
-    rows[mask] = (coefficients, rhs) with coefficients a dict over masks;
-    each row touches at most k + 2 unknowns. h(0) = 0 is implicit.
+    scaled_rows = (W, [(mask, W b, columns, W coefficients), ...]), one row
+    per nonempty mask in increasing order, each over at most k + 2 masks;
+    h(0) = 0 is implicit.
     """
 
     policy: MemorylessPolicy
-    rows: dict[int, tuple[dict[int, Fraction], Fraction]]
+    scaled_rows: tuple[int, list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]]
 
     @property
     def k(self) -> int:
         return self.policy.k
 
     @cached_property
-    def scaled_rows(self) -> tuple[int, list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]]:
-        """The rows times W = lcm of the denominators of p, in integers.
-
-        Returns (W, [(mask, W b, columns, W coefficients), ...]). Every
-        coefficient is a signed sum of p's entries, so W A is integral.
-        """
-        w = common_denominator(self.policy.probs)[0]
-        return w, [
-            (mask, b.numerator * (w // b.denominator), tuple(coeffs),
-             tuple(v.numerator * (w // v.denominator) for v in coeffs.values()))
-            for mask, (coeffs, b) in self.rows.items()
-        ]
+    def rows(self) -> dict[int, tuple[dict[int, Fraction], Fraction]]:
+        """The rows in Fractions: rows[mask] = (coefficients over masks, rhs)."""
+        w, rows = self.scaled_rows
+        return {mask: ({c: Fraction(v, w) for c, v in zip(cols, vals)}, Fraction(wb, w))
+                for mask, wb, cols, vals in rows}
 
     def residual(self, h) -> Fraction:
         """Max absolute violation of the equations by a candidate h (indexable by mask).
@@ -184,36 +182,36 @@ class SubsetSystem:
         """
         w, rows = self.scaled_rows
         delta, x = common_denominator(h)
-        worst = max(abs(wb * delta - sum(map(mul, vals, map(x.__getitem__, cols))))
-                    for _, wb, cols, vals in rows)
-        return Fraction(worst, w * delta)
+        ax = _times(rows, x)
+        return Fraction(max(abs(wb * delta - ax[mask]) for mask, wb, _, _ in rows), w * delta)
+
+
+def _times(rows: list, x: list[int]) -> list[int]:
+    """(W A) x in integers, indexed by mask like x; entry 0 is 0."""
+    return [0] + [sum(map(mul, vals, map(x.__getitem__, cols))) for _, _, cols, vals in rows]
 
 
 def build_system(policy: MemorylessPolicy) -> SubsetSystem:
-    """Assemble the sparse equations for every nonempty subset.
+    """Assemble the integer equations W A h = W b for every nonempty subset.
 
-    Rows share the policy's coefficient objects; only the diagonals are
-    new. The diagonal p_m + sum_{j not in S} p_j is built from the
-    running complement sums 1 - sum_{j in S} p_j, one subtraction a mask.
+    Each row lists h(S \\ {m}), then h(S u {j}) for the j not in S in
+    increasing order, then the diagonal W (p_m + sum_{j not in S} p_j),
+    built from the running complement sums W (1 - sum_{j in S} p_j), one
+    subtraction a mask.
     """
     k = policy.k
-    p = policy.probs
-    neg = [-q for q in p]
-    one = Fraction(1)
-    outside = [one] * (1 << k)
-    rows: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
+    w, weights = common_denominator(policy.probs)
+    outside = [w] * (1 << k)
+    rows = []
     for mask in range(1, 1 << k):
-        m = _min_element(mask)
-        bit_m = 1 << (m - 1)
-        outside[mask] = outside[mask ^ bit_m] - p[m - 1]
-        coeffs: dict[int, Fraction] = {mask ^ bit_m: neg[m - 1]} if mask != bit_m else {}
-        for j in range(k):
-            bit = 1 << j
-            if not mask & bit:
-                coeffs[mask | bit] = neg[j]
-        coeffs[mask] = p[m - 1] + outside[mask]
-        rows[mask] = (coeffs, one)
-    return SubsetSystem(policy=policy, rows=rows)
+        low = mask & -mask
+        wm = weights[low.bit_length() - 1]
+        outside[mask] = outside[mask ^ low] - wm
+        free = [j for j in range(k) if not mask >> j & 1]
+        first = mask == low  # a singleton's h(S \ {m}) is h(empty) = 0
+        rows.append((mask, w, (mask ^ low, *(mask | 1 << j for j in free), mask)[first:],
+                     (-wm, *(-weights[j] for j in free), wm + outside[mask])[first:]))
+    return SubsetSystem(policy=policy, scaled_rows=(w, rows))
 
 
 @dataclass(frozen=True)
@@ -249,7 +247,9 @@ class SubsetSolution:
 
     @cached_property
     def scaled(self) -> tuple[int, list[int]]:
-        """(delta, x) with h = x / delta in integers, delta the lcm of h's denominators."""
+        """(delta, x) with h = x / delta in integers: the solver's own pair if
+        `solve_system` built this solution (delta = 2^E in iterative mode),
+        else delta = the lcm of h's denominators."""
         return common_denominator(self.h)
 
 
@@ -465,8 +465,7 @@ def _lift(rows: list, n: int) -> tuple[int, list[int]]:
     for _ in range(max_lifts):
         y = _substitute(factors, r)
         digits.append(y)
-        for mask, _, cols, vals in rows:
-            r[mask] = (r[mask] - sum(map(mul, vals, map(y.__getitem__, cols)))) // _PRIME
+        r = [(ri - ai) // _PRIME for ri, ai in zip(r, _times(rows, y))]
         m *= _PRIME
         if rebuild is None:
             bound = isqrt(m >> 1)
@@ -481,8 +480,8 @@ def _lift(rows: list, n: int) -> tuple[int, list[int]]:
     raise ArithmeticError(f"p-adic solve found no stable solution in {max_lifts} lifts")
 
 
-def _solve_exact(system: SubsetSystem) -> list[Fraction]:
-    """h from the p-adic lift, returned only if W A x == delta W b holds exactly.
+def _solve_exact(system: SubsetSystem) -> tuple[int, list[int]]:
+    """(delta, x) from the p-adic lift, returned only if W A x == delta W b holds exactly.
 
     Raises ArithmeticError if the integer check fails, if a pivot
     vanishes modulo P, or if no reconstruction settles within the
@@ -490,10 +489,11 @@ def _solve_exact(system: SubsetSystem) -> list[Fraction]:
     """
     _, rows = system.scaled_rows
     delta, x = _lift(rows, 1 << system.k)
-    for mask, wb, cols, vals in rows:
-        if sum(map(mul, vals, map(x.__getitem__, cols))) != wb * delta:
+    ax = _times(rows, x)
+    for mask, wb, _, _ in rows:
+        if ax[mask] != wb * delta:
             raise ArithmeticError(f"p-adic solution fails the integer check at mask {mask:#x}")
-    return [Fraction(v, delta) for v in x]
+    return delta, x
 
 
 def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: int):
@@ -504,7 +504,7 @@ def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: 
     a dyadic rational, so h is held exactly as integers X * 2^-E. With
     W = lcm of the denominators of p, the scaled residual
     W * 2^E * (b - A h) is the integer vector (W b) << E - (W A) X, where
-    W A and W b are scaled from the rows of `system`. Contraction per pass
+    W A and W b are the rows of `system`. Contraction per pass
     is roughly machine-epsilon times the solution magnitude, so a few
     passes reach any practical tolerance.
 
@@ -512,10 +512,11 @@ def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: 
     is nonnegative with row sums h(S), so every component error is at
     most max(h) times the max residual. The loop stops once that product
     is below the tolerance, which also puts the residual itself far below
-    it. Returns (h, iterations, residual).
+    it. Returns (2^E, X, iterations, residual).
     """
     n = 1 << system.k
     w, int_rows = system.scaled_rows
+    wb = [0] + [b for _, b, _, _ in int_rows]
     # a / w is float(Fraction(a, w)): int true division rounds correctly
     factors = _eliminate(
         {mask: {c: a / w for c, a in zip(cols, vals)} for mask, _, cols, vals in int_rows},
@@ -526,14 +527,11 @@ def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: 
     e = 0
     for iteration in range(max_iterations + 1):
         scale = w << e
-        r = [0] * n
-        for mask, b, cols, vals in int_rows:
-            r[mask] = (b << e) - sum(map(mul, vals, map(x.__getitem__, cols)))
+        r = [(b << e) - ax for b, ax in zip(wb, _times(int_rows, x))]
         worst = max(map(abs, r))
         # worst / scale * (1 + max(x) / 2^E) < tn / td, cross-multiplied
         if worst * ((1 << e) + max(x)) * td < (tn * scale) << e:
-            h = [Fraction(v, 1 << e) for v in x]
-            return h, iteration, Fraction(worst, scale)
+            return 1 << e, x, iteration, Fraction(worst, scale)
         if iteration == max_iterations:
             break
         correction = [c.as_integer_ratio() for c in _substitute(factors, [v / scale for v in r])]
@@ -567,9 +565,9 @@ def solve_system(
     if mode == "exact":
         if policy.k > EXACT_MODE_MAX_K:
             raise ValueError(f"exact mode supports k <= {EXACT_MODE_MAX_K}, got {policy.k}")
-        h = _solve_exact(build_system(policy))
-        return SubsetSolution(policy=policy, h=tuple(h), mode="exact", max_residual=Fraction(0))
-    if mode == "iterative":
+        delta, x = _solve_exact(build_system(policy))
+        res, tolerance, iterations = Fraction(0), None, None
+    elif mode == "iterative":
         if policy.k > ITERATIVE_MODE_MAX_K:
             raise ValueError(
                 f"iterative mode supports k <= {ITERATIVE_MODE_MAX_K}, got {policy.k}"
@@ -577,13 +575,14 @@ def solve_system(
         tolerance = Fraction(tolerance)
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        system = build_system(policy)
-        h, iterations, res = _solve_iterative(system, tolerance, max_iterations)
-        return SubsetSolution(
-            policy=policy, h=tuple(h), mode="iterative",
-            max_residual=res, tolerance=tolerance, iterations=iterations,
-        )
-    raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'iterative'")
+        delta, x, iterations, res = _solve_iterative(build_system(policy), tolerance,
+                                                     max_iterations)
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'iterative'")
+    sol = SubsetSolution(policy=policy, h=tuple(Fraction(v, delta) for v in x), mode=mode,
+                         max_residual=res, tolerance=tolerance, iterations=iterations)
+    sol.__dict__["scaled"] = delta, x  # primes the cached property for the checks
+    return sol
 
 
 def lower_bound_hk(policy: MemorylessPolicy) -> Fraction:
@@ -664,27 +663,25 @@ def phi_transform(sol: SubsetSolution) -> tuple[Fraction, ...]:
             = 1 + sum_{j in Sbar} p_j (phi(Sbar) - phi(Sbar \\ {j})).
 
     Raises ValueError naming the first violated equation if the input
-    solution is inconsistent.
+    solution is inconsistent. The equation at Sbar is the original one at
+    S = full \\ Sbar, checked on the integer drops:
+    drop(S, m) = 1 + sum_{j not in S} drop(S u {j}, j).
     """
     k = sol.k
-    p = sol.policy.probs
     full = (1 << k) - 1
-    phi = tuple(sol.h[full] - sol.h[full & ~mask] for mask in range(1 << k))
-    slack = sol.check_slack
+    drops, unit, sn, sd = _scaled_drops(sol)
+    margin = sn * unit
     for sbar in range(full):
-        m = _min_element(full & ~sbar)
-        lhs = p[m - 1] * (phi[sbar | (1 << (m - 1))] - phi[sbar])
-        rhs = Fraction(1)
-        for j in range(1, k + 1):
-            bit = 1 << (j - 1)
-            if sbar & bit:
-                rhs += p[j - 1] * (phi[sbar] - phi[sbar & ~bit])
-        if abs(lhs - rhs) > slack:
+        mask = full ^ sbar
+        lhs = drops(mask, _min_element(mask))
+        rhs = unit + sum(drops(mask | 1 << (j - 1), j)
+                         for j in range(1, k + 1) if sbar >> (j - 1) & 1)
+        if abs(lhs - rhs) * sd > margin:
             raise ValueError(
                 f"transformed equation violated at Sbar mask {sbar:#x}: "
-                f"lhs {lhs} != rhs {rhs}"
+                f"lhs {Fraction(lhs, unit)} != rhs {Fraction(rhs, unit)}"
             )
-    return phi
+    return tuple(sol.h[full] - sol.h[full & ~mask] for mask in range(1 << k))
 
 
 def competitive_gap(policy: MemorylessPolicy, solution: SubsetSolution | None = None) -> Fraction:

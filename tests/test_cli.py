@@ -344,8 +344,22 @@ def test_verify_rejects_zero_denominator_in_header_policy(tmp_path, capsys):
     ({"n": [3.0, 3]}, "needs >= 2 points, got 3.0"),
     ({"emit_trace": 0}, "emit_trace must be true or false, got 0"),
     ({"k": True, "n": [3], "policy": ["1"]}, "k must be a positive integer, got True"),
+    ({"emit_trace": True, "trace_path": 7}, "trace_path must be a file path string, got 7"),
+    ({"summary_path": ["x"]}, "summary_path must be a file path string, got ['x']"),
 ])
 def test_simulate_rejects_mistyped_config_field(overrides, message, tmp_path, capsys):
     path = _write_config(tmp_path, **overrides)
     assert run_cli("simulate", str(path)) == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config_overrides", [
+    (["--out", "/nonexistent/o.json", "system", "--p", "1/2,1/2"], None),
+    (["system", "--p", "1/2,1/2", "--csv", "/nonexistent/x.csv"], None),
+    (["simulate"], {"emit_trace": True, "trace_path": "/nonexistent/t.csv"}),
+], ids=["out", "csv", "trace_path"])
+def test_unwritable_output_path_exits_validation(argv, config_overrides, tmp_path, capsys):
+    if config_overrides is not None:
+        argv = [*argv, str(_write_config(tmp_path, phases=2, **config_overrides))]
+    assert run_cli(*argv) == EXIT_VALIDATION
+    assert "error: [Errno 2] No such file or directory: '/nonexistent/" in capsys.readouterr().err
