@@ -1,33 +1,39 @@
 """Command-line interface.
 
-Subcommands: alpha, chain, system, simulate, verify, sweep.
-Exit codes: 0 ok, 2 validation error (an unusable file path included),
-3 solver failure, 4 step budget exhausted before the phase budget,
-5 verification violation.
+Subcommands: alpha, chain, system, simulate, verify, sweep. They only
+raise; main() alone maps an exception to one `error: ...` line and its
+exit code: 2 for a ValueError (ConfigError is one) or an OSError, such as
+an unusable file path; 3 for an ArithmeticError (SolverError is one);
+4 for StepBudgetExhausted. Exit 5 is a verification violation, after
+verify has written its report; 0 is ok.
 
 Output is a human table on a TTY and CSV when redirected; --format
 forces one of table/csv/json. Rationals serialize as "num/den" strings
-so nothing is rounded on the way out.
+and integers as plain digits, both of any length, so nothing is rounded
+on the way out.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv as _csv
+import dataclasses
 import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
 from .chains import binary_chain, eet_oracle_table, eet_table, harmonic_chain
-from .harmonic import alpha, alpha_bounds_check, rational_from_str, rational_to_str
+from .harmonic import alpha, alpha_bounds_check, int_to_str, rational_from_str, rational_to_str
 from .potential import verify_trace
 from .simulate import (
     ConfigError,
     ExperimentConfig,
     MetricSpec,
+    StepBudgetExhausted,
     estimate_ratio,
     read_trace_csv,
     run,
@@ -35,7 +41,6 @@ from .simulate import (
 )
 from .subsets import (
     MemorylessPolicy,
-    SolverError,
     check_monotonicity,
     check_subset_alpha_bound,
     competitive_gap,
@@ -48,16 +53,23 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
+# what main() maps each exception type to; a failed audit is exit 5 without an error
+EXIT_CODES = {ValueError: EXIT_VALIDATION, OSError: EXIT_VALIDATION,
+              ArithmeticError: EXIT_SOLVER, StepBudgetExhausted: EXIT_BUDGET}
 
 ALPHA_MAX_ELL = 64  # alpha(64) is ~90 digits; nothing beyond is ever exercised
 CHAIN_MAX_K = 20
 SWEEP_MAX_K = 8
+CHAINS = {"harmonic": harmonic_chain, "binary": binary_chain}
 
 
 def _pick_format(args) -> str:
-    if args.format:
-        return args.format
-    return "table" if sys.stdout.isatty() else "csv"
+    return args.format or ("table" if sys.stdout.isatty() else "csv")
+
+
+def _cells(row) -> list[str]:
+    """A row's cells as text; ints (not bools) of any length through int_to_str."""
+    return [int_to_str(x) if type(x) is int else str(x) for x in row]
 
 
 def _emit(headers, rows, fmt: str, out_path: str | None) -> None:
@@ -68,16 +80,12 @@ def _emit(headers, rows, fmt: str, out_path: str | None) -> None:
         buf = io.StringIO()
         w = _csv.writer(buf, lineterminator="\n")
         w.writerow(headers)
-        w.writerows(rows)
+        w.writerows(map(_cells, rows))
         text = buf.getvalue().rstrip("\n")
     else:
-        cells = [[str(x) for x in r] for r in rows]
-        widths = [max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
-                  for i, h in enumerate(headers)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-        for c in cells:
-            lines.append("  ".join(x.ljust(w) for x, w in zip(c, widths)))
-        text = "\n".join(lines)
+        lines = [headers, *map(_cells, rows)]
+        widths = [max(len(line[i]) for line in lines) for i in range(len(headers))]
+        text = "\n".join("  ".join(x.ljust(w) for x, w in zip(line, widths)) for line in lines)
     _write(text, out_path)
 
 
@@ -94,19 +102,23 @@ def _write(text: str, out_path: str | None) -> None:
         print(text)
 
 
-def _parse_policy(spec: str) -> MemorylessPolicy:
+@contextmanager
+def _prefixed(prefix: str):
+    """Re-raise a ValueError or OSError of the block as a ConfigError that starts with prefix."""
     try:
-        probs = [rational_from_str(tok) for tok in spec.split(",")]
-        return MemorylessPolicy.from_probs(probs)
-    except ValueError as exc:
-        raise ConfigError(f"bad policy {spec!r}: {exc}") from exc
+        yield
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _parse_policy(spec: str) -> MemorylessPolicy:
+    with _prefixed(f"bad policy {spec!r}: "):
+        return MemorylessPolicy.from_probs([rational_from_str(tok) for tok in spec.split(",")])
 
 
 def _parse_tolerance(s: str) -> Fraction:
-    try:
+    with _prefixed(f"bad tolerance {s!r}: "):
         tolerance = rational_from_str(s)
-    except ValueError as exc:
-        raise ConfigError(f"bad tolerance {s!r}: {exc}") from exc
     if tolerance <= 0:
         raise ConfigError(f"tolerance must be positive, got {s!r}")
     return tolerance
@@ -114,32 +126,21 @@ def _parse_tolerance(s: str) -> Fraction:
 
 def cmd_alpha(args) -> int:
     if args.max < 1 or args.max > ALPHA_MAX_ELL:
-        print(f"error: --max must be in 1..{ALPHA_MAX_ELL}, got {args.max}", file=sys.stderr)
-        return EXIT_VALIDATION
-    rows = []
-    for ell in range(1, args.max + 1):
-        rows.append((ell, alpha(ell), factorial(ell - 1), alpha_bounds_check(ell)))
+        raise ConfigError(f"--max must be in 1..{ALPHA_MAX_ELL}, got {args.max}")
+    rows = [(ell, alpha(ell), factorial(ell - 1), alpha_bounds_check(ell))
+            for ell in range(1, args.max + 1)]
     _emit(["ell", "alpha", "factorial", "bounds_ok"], rows, _pick_format(args), args.out)
     return EXIT_OK
 
 
 def cmd_chain(args) -> int:
     if args.k < 1 or args.k > CHAIN_MAX_K:
-        print(f"error: --k must be in 1..{CHAIN_MAX_K}, got {args.k}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.kind == "harmonic":
-        chain = harmonic_chain(args.k)
-    elif args.kind == "binary":
-        chain = binary_chain(args.k)
-    else:
-        print(f"error: unknown chain kind {args.kind!r}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"--k must be in 1..{CHAIN_MAX_K}, got {args.k}")
+    chain = CHAINS[args.kind](args.k)
     closed = eet_table(chain, method="closed_form")
     oracle = eet_oracle_table(chain)
-    rows = []
-    for ell in range(args.k + 1):
-        h = closed[ell]
-        rows.append((args.k, ell, h.numerator, h.denominator, args.kind, h == oracle[ell]))
+    rows = [(args.k, ell, h.numerator, h.denominator, args.kind, h == oracle[ell])
+            for ell, h in enumerate(closed)]
     _emit(["k", "ell", "h_num", "h_den", "chain_kind", "oracle_match"],
           rows, _pick_format(args), args.out)
     return EXIT_OK
@@ -148,14 +149,7 @@ def cmd_chain(args) -> int:
 def cmd_system(args) -> int:
     policy = _parse_policy(args.p)
     tolerance = _parse_tolerance(args.tolerance)
-    try:
-        sol = solve_system(policy, mode=args.mode, tolerance=tolerance)
-    except (SolverError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    sol = solve_system(policy, mode=args.mode, tolerance=tolerance)
     bound = lower_bound_hk(policy)
     gap = competitive_gap(policy, sol)
     mono = check_monotonicity(sol)
@@ -185,9 +179,7 @@ def cmd_system(args) -> int:
 def cmd_simulate(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
     if args.seed is not None:
-        d = config.to_dict()
-        d["seed"] = args.seed
-        config = ExperimentConfig.from_dict(d)
+        config = dataclasses.replace(config, seed=args.seed)  # re-runs the config's checks
     if config.emit_trace and not config.trace_path:
         raise ConfigError("emit_trace is set but trace_path is missing from the config")
     summary, trace = run(config)
@@ -196,26 +188,15 @@ def cmd_simulate(args) -> int:
     out_path = args.out or config.summary_path
     _emit_json(summary.to_dict(), out_path)
     if summary.exhausted:
-        print(
-            f"error: step budget {config.max_steps} exhausted after "
-            f"{summary.phases}/{config.phases} phases",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
+        raise StepBudgetExhausted(f"step budget {config.max_steps} exhausted after "
+                                  f"{summary.phases}/{config.phases} phases")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
+    with _prefixed("malformed trace: "):
         trace = read_trace_csv(args.trace)
-    except (ValueError, OSError) as exc:
-        print(f"error: malformed trace: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        report = verify_trace(trace)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    report = verify_trace(trace)
     _emit_json(report.to_dict(), args.out)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
@@ -228,13 +209,11 @@ def _sweep_cell(payload):
         if policy.k != k:
             raise ConfigError(f"policy {policy_spec!r} has {policy.k} entries, expected {k}")
     except ConfigError as exc:
-        return {"policy": policy_spec, "status": f"rejected: {exc}", "h_k": "", "bound": "",
-                "gap": "", "sim_ratio": ""}
+        return {"policy": policy_spec, "status": f"rejected: {exc}"}
     try:
         sol = solve_system(policy, mode="exact")
-    except (SolverError, ArithmeticError, ValueError) as exc:
-        return {"policy": policy_spec, "status": f"solver_failed: {exc}", "h_k": "",
-                "bound": "", "gap": "", "sim_ratio": "", "_failed": True}
+    except (ArithmeticError, ValueError) as exc:
+        return {"policy": policy_spec, "status": f"solver_failed: {exc}", "_failed": True}
     bound = lower_bound_hk(policy)
     gap = competitive_gap(policy, sol)
     sim_ratio = ""
@@ -262,19 +241,14 @@ def _sweep_cell(payload):
 
 def cmd_sweep(args) -> int:
     if args.k < 1 or args.k > SWEEP_MAX_K:
-        print(f"error: --k must be in 1..{SWEEP_MAX_K} for exact sweeps, got {args.k}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"--k must be in 1..{SWEEP_MAX_K} for exact sweeps, got {args.k}")
     if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if args.phases < 0:
-        print(f"error: --phases must be >= 0, got {args.phases}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"--phases must be >= 0, got {args.phases}")
     specs = [tok.strip() for tok in args.grid.split(";") if tok.strip()]
     if not specs:
-        print("error: empty policy grid", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("empty policy grid")
     payloads = [(spec, args.k, args.phases, args.seed or 0, i)
                 for i, spec in enumerate(specs)]
     if args.jobs > 1:
@@ -285,8 +259,9 @@ def cmd_sweep(args) -> int:
     headers = ["policy", "h_k", "bound", "gap", "sim_ratio", "status"]
     rows = [tuple(r.get(h, "") for h in headers) for r in results]
     _emit(headers, rows, _pick_format(args), args.out)
-    if any(r.get("_failed") for r in results):
-        return EXIT_SOLVER
+    failed = sum(1 for r in results if r.get("_failed"))
+    if failed:
+        raise ArithmeticError(f"{failed} of {len(results)} sweep cells failed to solve")
     return EXIT_OK
 
 
@@ -308,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("chain", help="extinction-time table of a named birth-death chain")
-    p.add_argument("kind", choices=("harmonic", "binary"))
+    p.add_argument("kind", choices=tuple(CHAINS))
     p.add_argument("--k", type=int, required=True, help=f"number of states (1..{CHAIN_MAX_K})")
     p.set_defaults(func=cmd_chain)
 
@@ -342,9 +317,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ uniform ("harmonic") memoryless policy: k * a(k) for k metric spaces.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import ceil, factorial, lcm
@@ -30,6 +31,7 @@ __all__ = [
     "common_denominator",
     "exact_thresholds",
     "e_over_approximation",
+    "int_to_str",
     "rational_to_str",
     "rational_from_str",
 ]
@@ -105,9 +107,19 @@ def alpha_bounds_check(ell: int) -> bool:
     return a <= ceil(e_up * f)
 
 
+def int_to_str(n: int) -> str:
+    """Decimal digits of n, of any length.
+
+    str(n) refuses ints beyond the interpreter's 4300-digit limit, which
+    terms of h pass at k = 12. Decimal converts without that limit, so
+    no global setting is lifted and parsing keeps it.
+    """
+    return str(Decimal(n))
+
+
 def rational_to_str(x: Fraction) -> str:
-    """Serialize exactly as "num/den" (always with the slash)."""
-    return f"{x.numerator}/{x.denominator}"
+    """Serialize exactly as "num/den" (always with the slash), of any length."""
+    return f"{int_to_str(x.numerator)}/{int_to_str(x.denominator)}"
 
 
 def rational_from_str(s: str) -> Fraction:

@@ -25,7 +25,7 @@ from itertools import compress
 from operator import eq, ne
 
 from .chains import harmonic_eet
-from .harmonic import alpha_table
+from .harmonic import alpha_table, rational_to_str
 from .subsets import MemorylessPolicy
 
 __all__ = [
@@ -135,7 +135,7 @@ class TraceReport:
             "adv_cost": self.adv_cost,
             "potential_start": self.potential_start,
             "potential_end": self.potential_end,
-            "residual": f"{self.residual.numerator}/{self.residual.denominator}",
+            "residual": rational_to_str(self.residual),
             "residual_float": float(self.residual),
             "expected_drop_total": float(self.expected_drop_total),
             "realized_drop_total": self.realized_drop_total,

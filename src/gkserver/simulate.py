@@ -39,7 +39,7 @@ from math import sqrt
 
 import numpy as np
 
-from .harmonic import exact_thresholds, rational_from_str
+from .harmonic import exact_thresholds, rational_from_str, rational_to_str
 from .subsets import MemorylessPolicy
 
 __all__ = [
@@ -191,9 +191,9 @@ class ExperimentConfig:
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 d = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError: JSON is UTF-8
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(d, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -369,7 +369,7 @@ class RunSummary:
         return {
             "alg_cost": self.alg_cost,
             "adv_cost": self.adv_cost,
-            "ratio": None if self.ratio is None else f"{self.ratio.numerator}/{self.ratio.denominator}",
+            "ratio": None if self.ratio is None else rational_to_str(self.ratio),
             "ratio_float": None if self.ratio is None else float(self.ratio),
             "phases": self.phases,
             "mean_phase_length": self.mean_phase_length,
@@ -651,7 +651,7 @@ def read_trace_csv(path: str) -> Trace:
     steps: list[TraceStep] = []
     configs = _Memo(_split)  # also lets each distinct configuration be checked once
     header_seen = False
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:

@@ -32,9 +32,8 @@ integers; it runs through k = 12. The iterative mode factors once with
 the same elimination in float64, then refines by substitution alone,
 with exact integer residuals, until the requested tolerance is met.
 Either solver hands its (delta, x) to the solution, and the inequality
-checks and the phi transform compare integer drops on it: at random
-k = 12 the two inequality checks take 0.2-0.3 s, where re-deriving
-(delta, x) from h made them 0.75-1.6 s.
+checks and the phi transform compare integer drops on it. A solve that
+fails raises an ArithmeticError (SolverError for iterative refinement).
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ ITERATIVE_MODE_MAX_K = 14
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
 
 
-class SolverError(RuntimeError):
+class SolverError(ArithmeticError):
     """Iterative solve failed to converge; carries the last residual."""
 
     def __init__(self, message: str, residual: Fraction, iterations: int):

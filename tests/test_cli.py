@@ -1,8 +1,12 @@
 """CLI: subcommands, exit codes, output round trips."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +19,7 @@ from gkserver.cli import (
     EXIT_VERIFY,
     main,
 )
+from gkserver.harmonic import rational_to_str
 
 
 def run_cli(*argv):
@@ -194,6 +199,30 @@ def test_system_uncertified_exact_solve_exits_solver(monkeypatch, capsys):
     assert "integer check" in capsys.readouterr().err
 
 
+def test_system_writes_h_beyond_the_digit_limit(tmp_path, capsys):
+    # 2200-digit probabilities parse; h({1,2}) has 4401-digit terms, past str()'s 4300
+    e = Fraction(1, 10**2200)
+    policy = subsets.MemorylessPolicy.from_probs([Fraction(1, 2) + e, Fraction(1, 2) - e])
+    out = tmp_path / "h.csv"
+    assert run_cli("system", "--p", ",".join(policy.as_strs()), "--csv", str(out)) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    rows = _parse_csv(out.read_text())[1:]
+    h = [Fraction(int(Decimal(num)), int(Decimal(den))) for _, _, num, den in rows]
+    assert len(rows[3][2]) == 4401 and rational_to_str(h[2]) == summary["h_k"]
+    assert subsets.build_system(policy).residual(h) == 0
+
+
+def test_sweep_failed_cell_exits_solver_with_an_error_line(monkeypatch, capsys):
+    real = subsets._lifted
+    monkeypatch.setattr(subsets, "_lifted", lambda digits, i: real(digits, i) + (i == 2))
+    assert run_cli("--format", "csv", "sweep", "--k", "4",
+                   "--grid", "2/5,3/10,1/5,1/10;1,0,0,0") == EXIT_SOLVER
+    captured = capsys.readouterr()
+    rows = _parse_csv(captured.out)[1:]
+    assert [r[5].split(":")[0] for r in rows] == ["solver_failed", "rejected"]
+    assert captured.err == "error: 1 of 2 sweep cells failed to solve\n"
+
+
 def test_verify_rejects_empty_trace(tmp_path):
     trace = tmp_path / "empty.csv"
     trace.write_text("")
@@ -253,9 +282,6 @@ def test_sweep_reports_unsimulable_cell(capsys):
 
 
 def _parse_csv(text):
-    import csv
-    import io
-
     return list(csv.reader(io.StringIO(text)))
 
 

@@ -1,5 +1,6 @@
 """Harmonic recursion: recurrence vs closed form, factorial sandwich, rationals."""
 
+from decimal import Decimal
 from fractions import Fraction
 from math import ceil, factorial
 
@@ -13,6 +14,7 @@ from gkserver.harmonic import (
     alpha_closed_form,
     alpha_table,
     e_over_approximation,
+    int_to_str,
     rational_from_str,
     rational_to_str,
 )
@@ -121,3 +123,18 @@ def test_fraction_normalization_idempotent(a):
 @given(rationals)
 def test_rational_string_round_trip(a):
     assert rational_from_str(rational_to_str(a)) == a
+
+
+@given(st.integers())
+def test_int_to_str_matches_str(n):
+    assert int_to_str(n) == str(n)
+
+
+def test_serializers_write_ints_beyond_the_parse_limit():
+    n = 7**6000  # 5071 digits; str(n) refuses more than 4300
+    digits = int_to_str(n)
+    assert len(digits) == 5071 and int(Decimal(digits)) == n
+    assert int_to_str(-n) == "-" + digits
+    assert rational_to_str(Fraction(n, 3)) == digits + "/3"
+    with pytest.raises(ValueError, match="4300"):  # parsing keeps the limit
+        rational_from_str(rational_to_str(Fraction(n, 3)))
