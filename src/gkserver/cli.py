@@ -5,7 +5,8 @@ raise; main() alone maps an exception to one `error: ...` line and its
 exit code: 2 for a ValueError (ConfigError is one) or an OSError, such as
 an unusable file path; 3 for an ArithmeticError (SolverError is one);
 4 for StepBudgetExhausted. Exit 5 is a verification violation, after
-verify has written its report; 0 is ok.
+verify has written its report; 0 is ok. A reader that closes the output
+pipe early ends the command with 141, as SIGPIPE would, and no error line.
 
 Output is a human table on a TTY and CSV when redirected; --format
 forces one of table/csv/json. Rationals serialize as "num/den" strings
@@ -18,8 +19,8 @@ from __future__ import annotations
 import argparse
 import csv as _csv
 import dataclasses
-import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -53,6 +54,7 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell shows for a writer whose reader left
 # what main() maps each exception type to; a failed audit is exit 5 without an error
 EXIT_CODES = {ValueError: EXIT_VALIDATION, OSError: EXIT_VALIDATION,
               ArithmeticError: EXIT_SOLVER, StepBudgetExhausted: EXIT_BUDGET}
@@ -73,33 +75,36 @@ def _cells(row) -> list[str]:
 
 
 def _emit(headers, rows, fmt: str, out_path: str | None) -> None:
-    """Render rows as table/csv/json to stdout or --out."""
+    """Render rows as table/csv/json to stdout or --out; CSV rows are written as they come."""
     if fmt == "json":
-        text = json.dumps([dict(zip(headers, r)) for r in rows], indent=2, sort_keys=True)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        w = _csv.writer(buf, lineterminator="\n")
-        w.writerow(headers)
-        w.writerows(map(_cells, rows))
-        text = buf.getvalue().rstrip("\n")
-    else:
-        lines = [headers, *map(_cells, rows)]
-        widths = [max(len(line[i]) for line in lines) for i in range(len(headers))]
-        text = "\n".join("  ".join(x.ljust(w) for x, w in zip(line, widths)) for line in lines)
-    _write(text, out_path)
+        _emit_json([dict(zip(headers, r)) for r in rows], out_path)
+        return
+    with _destination(out_path) as fh:
+        if fmt == "csv":
+            w = _csv.writer(fh, lineterminator="\n")
+            w.writerow(headers)
+            w.writerows(map(_cells, rows))
+        else:
+            lines = [headers, *map(_cells, rows)]
+            widths = [max(len(line[i]) for line in lines) for i in range(len(headers))]
+            fh.write("\n".join("  ".join(x.ljust(w) for x, w in zip(line, widths))
+                               for line in lines) + "\n")
 
 
 def _emit_json(obj, out_path: str | None) -> None:
-    _write(json.dumps(obj, indent=2, sort_keys=True), out_path)
+    with _destination(out_path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write(text: str, out_path: str | None) -> None:
-    """Print text, or write it with a final newline to out_path."""
+@contextmanager
+def _destination(out_path: str | None):
+    """out_path opened for writing and closed after the block, or stdout flushed after it."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+            yield fh
     else:
-        print(text)
+        yield sys.stdout
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
 
 
 @contextmanager
@@ -169,8 +174,8 @@ def cmd_system(args) -> int:
         "alpha_bound_violations": len(alpha_bound),
     }
     if args.csv:
-        rows = [(mask, mask.bit_count(), sol.h[mask].numerator, sol.h[mask].denominator)
-                for mask in range(1 << policy.k)]
+        rows = ((mask, mask.bit_count(), h.numerator, h.denominator)
+                for mask, h in enumerate(sol.h))
         _emit(["subset_mask", "subset_size", "h_num", "h_den"], rows, "csv", args.csv)
     _emit_json(summary, args.out)
     return EXIT_OK
@@ -317,6 +322,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader is gone: no error line, and the flush at exit writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

@@ -31,7 +31,8 @@ reconstruction and returns it only if W A x == delta W b holds in
 integers; it runs through k = 12. The iterative mode factors once with
 the same elimination in float64, then refines by substitution alone,
 with exact integer residuals, until the requested tolerance is met.
-Either solver hands its (delta, x) to the solution, and the inequality
+Either solver's (delta, x) is the solution: h is a view over it that
+builds a Fraction only for an entry that is read, and the inequality
 checks and the phi transform compare integer drops on it. A solve that
 fails raises an ArithmeticError (SolverError for iterative refinement).
 """
@@ -45,7 +46,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import islice
 from math import gcd, isqrt
-from operator import mul
+from operator import eq, mul
 from typing import NamedTuple
 
 from .harmonic import alpha, alpha_table, common_denominator, rational_to_str
@@ -68,11 +69,12 @@ __all__ = [
 ]
 
 # Every exact solve at k = 12 ends in seconds. Measured on a shared
-# 2-vCPU Xeon, Python 3.11: random policies (weights 1..40,
-# random.Random(1), (2), (3)) solve in 10.5-11.2, 8.1 and 7.2 s and check
-# monotonicity and the drop floor in 0.28, 0.24 and 0.23 s, at a peak RSS
-# of 79, 73 and 70 MB (pytest loaded); solve time follows the common
-# denominator of h (16.8, 13.0 and 10.9 k bits). Uniform k = 12 takes 0.4 s.
+# 2-vCPU Xeon, Python 3.11, as whole `gkserver system` runs: random
+# policies (weights 1..40, random.Random(1), (2), (3)) take 5.9-8.4, 5.7
+# and 4.4 s at a peak RSS of 71, 66 and 62 MB; time follows the common
+# denominator of h (16.8, 13.0 and 10.9 k bits). With --csv, Random(1)
+# takes 12.3-14.0 s at 70 MB: the CSV alone builds h's 4095 Fractions
+# (2.3 s) and their decimal digits (1.8 s). Uniform k = 12 takes 0.6-0.9 s.
 EXACT_MODE_MAX_K = 12
 # The largest k at which every iterative solve ends within about 10 s and
 # 0.6 GB, one that spends the whole 60-pass budget included. Measured on a
@@ -174,15 +176,16 @@ class SubsetSystem:
                 for mask, wb, cols, vals in rows}
 
     def residual(self, h) -> Fraction:
-        """Max absolute violation of the equations by a candidate h (indexable by mask).
+        """Max absolute violation of the equations by a candidate h over the masks.
 
-        With h = x / delta, the scaled residual W delta (b - A h) is the
-        integer vector delta (W b) - (W A) x.
+        h is a solution's view or a sequence of rationals. With h = x / delta,
+        the scaled residual W delta (b - A h) is the integer vector
+        delta (W b) - (W A) x.
         """
         w, rows = self.scaled_rows
-        delta, x = common_denominator(h)
-        ax = _times(rows, x)
-        return Fraction(max(abs(wb * delta - ax[mask]) for mask, wb, _, _ in rows), w * delta)
+        h = _scaled(h)
+        ax = _times(rows, h.x)
+        return Fraction(max(abs(wb * h.delta - ax[mask]) for mask, wb, _, _ in rows), w * h.delta)
 
 
 def _times(rows: list, x: list[int]) -> list[int]:
@@ -213,20 +216,55 @@ def build_system(policy: MemorylessPolicy) -> SubsetSystem:
     return SubsetSystem(policy=policy, scaled_rows=(w, rows))
 
 
+class _Scaled(Sequence):
+    """Read-only x / delta over an integer pair: reading an entry builds one
+    normalised Fraction, a slice a tuple of them. It equals a tuple or another
+    view exactly when their values agree."""
+
+    def __init__(self, delta: int, x: list[int]):
+        self.delta, self.x = delta, x
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(Fraction(v, self.delta) for v in self.x[i])
+        return Fraction(self.x[i], self.delta)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _Scaled)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def _scaled(h) -> _Scaled:
+    """h itself if it is a view, else a view over its lcm form."""
+    return h if isinstance(h, _Scaled) else _Scaled(*common_denominator(h))
+
+
 @dataclass(frozen=True)
 class SubsetSolution:
     """Solved h values, indexed by subset mask (h[0] == 0).
 
-    max_residual is the exact residual of the stored values: zero in
-    exact mode, below the requested tolerance in iterative mode.
+    h is a view over the solver's (delta, x); an h passed in as values
+    becomes one over their lcm form. max_residual is the exact residual
+    of the stored values: zero in exact mode, below the requested
+    tolerance in iterative mode.
     """
 
     policy: MemorylessPolicy
-    h: tuple[Fraction, ...]
+    h: Sequence[Fraction]
     mode: str
     max_residual: Fraction
     tolerance: Fraction | None = None
     iterations: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "h", _scaled(self.h))
 
     @property
     def k(self) -> int:
@@ -244,12 +282,10 @@ class SubsetSolution:
             return Fraction(0)
         return 10 * (self.tolerance if self.tolerance is not None else DEFAULT_TOLERANCE)
 
-    @cached_property
+    @property
     def scaled(self) -> tuple[int, list[int]]:
-        """(delta, x) with h = x / delta in integers: the solver's own pair if
-        `solve_system` built this solution (delta = 2^E in iterative mode),
-        else delta = the lcm of h's denominators."""
-        return common_denominator(self.h)
+        """(delta, x) with h = x / delta in integers (delta = 2^E in iterative mode)."""
+        return self.h.delta, self.h.x
 
 
 class _Factors(NamedTuple):
@@ -479,8 +515,8 @@ def _lift(rows: list, n: int) -> tuple[int, list[int]]:
     raise ArithmeticError(f"p-adic solve found no stable solution in {max_lifts} lifts")
 
 
-def _solve_exact(system: SubsetSystem) -> tuple[int, list[int]]:
-    """(delta, x) from the p-adic lift, returned only if W A x == delta W b holds exactly.
+def _solve_exact(system: SubsetSystem) -> _Scaled:
+    """h from the p-adic lift, returned only if W A x == delta W b holds exactly.
 
     Raises ArithmeticError if the integer check fails, if a pivot
     vanishes modulo P, or if no reconstruction settles within the
@@ -492,7 +528,7 @@ def _solve_exact(system: SubsetSystem) -> tuple[int, list[int]]:
     for mask, wb, _, _ in rows:
         if ax[mask] != wb * delta:
             raise ArithmeticError(f"p-adic solution fails the integer check at mask {mask:#x}")
-    return delta, x
+    return _Scaled(delta, x)
 
 
 def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: int):
@@ -511,7 +547,7 @@ def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: 
     is nonnegative with row sums h(S), so every component error is at
     most max(h) times the max residual. The loop stops once that product
     is below the tolerance, which also puts the residual itself far below
-    it. Returns (2^E, X, iterations, residual).
+    it. Returns (h as a view over (2^E, X), iterations, residual).
     """
     n = 1 << system.k
     w, int_rows = system.scaled_rows
@@ -530,7 +566,7 @@ def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: 
         worst = max(map(abs, r))
         # worst / scale * (1 + max(x) / 2^E) < tn / td, cross-multiplied
         if worst * ((1 << e) + max(x)) * td < (tn * scale) << e:
-            return 1 << e, x, iteration, Fraction(worst, scale)
+            return _Scaled(1 << e, x), iteration, Fraction(worst, scale)
         if iteration == max_iterations:
             break
         correction = [c.as_integer_ratio() for c in _substitute(factors, [v / scale for v in r])]
@@ -564,7 +600,7 @@ def solve_system(
     if mode == "exact":
         if policy.k > EXACT_MODE_MAX_K:
             raise ValueError(f"exact mode supports k <= {EXACT_MODE_MAX_K}, got {policy.k}")
-        delta, x = _solve_exact(build_system(policy))
+        h = _solve_exact(build_system(policy))
         res, tolerance, iterations = Fraction(0), None, None
     elif mode == "iterative":
         if policy.k > ITERATIVE_MODE_MAX_K:
@@ -574,14 +610,11 @@ def solve_system(
         tolerance = Fraction(tolerance)
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        delta, x, iterations, res = _solve_iterative(build_system(policy), tolerance,
-                                                     max_iterations)
+        h, iterations, res = _solve_iterative(build_system(policy), tolerance, max_iterations)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'iterative'")
-    sol = SubsetSolution(policy=policy, h=tuple(Fraction(v, delta) for v in x), mode=mode,
-                         max_residual=res, tolerance=tolerance, iterations=iterations)
-    sol.__dict__["scaled"] = delta, x  # primes the cached property for the checks
-    return sol
+    return SubsetSolution(policy=policy, h=h, mode=mode, max_residual=res,
+                          tolerance=tolerance, iterations=iterations)
 
 
 def lower_bound_hk(policy: MemorylessPolicy) -> Fraction:
@@ -652,7 +685,7 @@ def check_subset_alpha_bound(sol: SubsetSolution) -> list[tuple[int, int, Fracti
     return out
 
 
-def phi_transform(sol: SubsetSolution) -> tuple[Fraction, ...]:
+def phi_transform(sol: SubsetSolution) -> Sequence[Fraction]:
     """phi(S) = h(full) - h(full \\ S), verified against its own equations.
 
     phi satisfies phi(empty) = 0 and, for every Sbar != full with
@@ -665,6 +698,7 @@ def phi_transform(sol: SubsetSolution) -> tuple[Fraction, ...]:
     solution is inconsistent. The equation at Sbar is the original one at
     S = full \\ Sbar, checked on the integer drops:
     drop(S, m) = 1 + sum_{j not in S} drop(S u {j}, j).
+    Returns phi as a view like h, over x(full) - x(full \\ S) and h's delta.
     """
     k = sol.k
     full = (1 << k) - 1
@@ -680,7 +714,8 @@ def phi_transform(sol: SubsetSolution) -> tuple[Fraction, ...]:
                 f"transformed equation violated at Sbar mask {sbar:#x}: "
                 f"lhs {Fraction(lhs, unit)} != rhs {Fraction(rhs, unit)}"
             )
-    return tuple(sol.h[full] - sol.h[full & ~mask] for mask in range(1 << k))
+    delta, x = sol.scaled
+    return _Scaled(delta, [x[full] - x[full & ~mask] for mask in range(1 << k)])
 
 
 def competitive_gap(policy: MemorylessPolicy, solution: SubsetSolution | None = None) -> Fraction:

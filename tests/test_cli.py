@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -12,6 +13,7 @@ import pytest
 
 from gkserver import subsets
 from gkserver.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_SOLVER,
@@ -389,3 +391,19 @@ def test_unwritable_output_path_exits_validation(argv, config_overrides, tmp_pat
         argv = [*argv, str(_write_config(tmp_path, phases=2, **config_overrides))]
     assert run_cli(*argv) == EXIT_VALIDATION
     assert "error: [Errno 2] No such file or directory: '/nonexistent/" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["system", "--p", "1/2,1/4,1/4"],
+    ["system", "--p", "1/2,1/4,1/4", "--csv", "/dev/stdout"],
+], ids=["stdout", "csv"])
+def test_closed_stdout_pipe_exits_141_quietly(argv):
+    """A reader that is already gone is SIGPIPE's exit code, with nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "gkserver", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, "")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -388,3 +389,37 @@ def test_integer_checks_keep_iterative_slack_boundary(excess, violations):
     h[0b10] = 2 * (2 - slack - excess)
     _, bound = _assert_integer_checks_match(dataclasses.replace(sol, h=tuple(h)))
     assert sum(1 for mask, *_ in bound if mask == 0b10) == violations
+
+
+@pytest.mark.parametrize("mode", ["exact", "iterative"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_h_is_a_view_over_the_solver_pair(mode, k):
+    sol = solve_system(random_policy(k, random.Random(k)), mode=mode)
+    delta, x = sol.scaled
+    h = tuple(Fraction(v, delta) for v in x)
+    assert tuple(sol.h) == h
+    assert all(type(v) is Fraction and v.denominator > 0
+               and math.gcd(v.numerator, v.denominator) == 1 for v in sol.h)
+    assert sol.h == h and h == sol.h
+    assert sol.h != h[:-1] + (h[-1] + 1,) and h[:-1] + (h[-1] + 1,) != sol.h
+    assert sol.h[1:3] == h[1:3] and type(sol.h[1:3]) is tuple
+    assert sol.h[-1] == h[-1] and sol.h_k == h[1 << (k - 1)]
+    assert len(sol.h) == 1 << k
+    assert dataclasses.replace(sol, h=tuple(sol.h)) == sol
+
+
+def test_solve_and_checks_build_no_fraction_per_subset(monkeypatch):
+    """h is not materialised: the solve, the gap and both checks build O(k) Fractions."""
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    k = 8
+    policy = random_policy(k, random.Random(1))
+    monkeypatch.setattr(subsets, "Fraction", counting)
+    sol = solve_system(policy)
+    competitive_gap(policy, sol)
+    assert not check_monotonicity(sol) and not check_subset_alpha_bound(sol)
+    assert 0 < len(made) <= k

@@ -128,7 +128,7 @@ def test_checks_agree_on_rederived_scaling(mode):
         tampered = dataclasses.replace(sol, h=tuple(h))
         delta, x = tampered.scaled
         rescaled = dataclasses.replace(tampered)
-        rescaled.__dict__["scaled"] = 6 * delta, [6 * v for v in x]
+        rescaled = dataclasses.replace(rescaled, h=type(rescaled.h)(6 * delta, [6 * v for v in x]))
         outcomes = _check_outcomes(tampered)
         assert _check_outcomes(rescaled) == outcomes
         mono += bool(outcomes[0])
