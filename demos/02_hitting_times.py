@@ -32,7 +32,7 @@ for ell in range(k + 1):
     print(f"{ell:>3} {hh:>15} {str(hb):>14}")
 
 for kind, chain in (("harmonic", harmonic_chain(k)), ("binary", binary_chain(k))):
-    assert eet_table(chain, "closed_form") == eet_oracle_table(chain)
+    assert eet_table(chain) == eet_oracle_table(chain)
     assert stationary_and_return_check(chain)
 print("\nclosed form == tridiagonal solve == detailed-balance return time, exactly.")
 

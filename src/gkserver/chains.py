@@ -169,13 +169,9 @@ def eet_oracle(chain: BirthDeathChain, ell: int) -> Fraction:
     return eet_oracle_table(chain)[ell]
 
 
-def eet_table(chain: BirthDeathChain, method: str = "closed_form") -> tuple[Fraction, ...]:
-    """h(0..k) via the chosen route ("closed_form" or "oracle")."""
-    if method == "oracle":
-        return eet_oracle_table(chain)
-    if method == "closed_form":
-        return tuple(eet_closed_form(chain, ell) for ell in range(chain.k + 1))
-    raise ValueError(f"unknown method {method!r}")
+def eet_table(chain: BirthDeathChain) -> tuple[Fraction, ...]:
+    """h(0..k) from the closed form; eet_oracle_table gives the same from the linear solve."""
+    return tuple(eet_closed_form(chain, ell) for ell in range(chain.k + 1))
 
 
 def harmonic_eet(k: int, ell: int) -> int:

@@ -36,6 +36,7 @@ from .simulate import (
     MetricSpec,
     StepBudgetExhausted,
     estimate_ratio,
+    raise_if_exhausted,
     read_trace_csv,
     run,
     write_trace_csv,
@@ -142,7 +143,7 @@ def cmd_chain(args) -> int:
     if args.k < 1 or args.k > CHAIN_MAX_K:
         raise ConfigError(f"--k must be in 1..{CHAIN_MAX_K}, got {args.k}")
     chain = CHAINS[args.kind](args.k)
-    closed = eet_table(chain, method="closed_form")
+    closed = eet_table(chain)
     oracle = eet_oracle_table(chain)
     rows = [(args.k, ell, h.numerator, h.denominator, args.kind, h == oracle[ell])
             for ell, h in enumerate(closed)]
@@ -192,9 +193,7 @@ def cmd_simulate(args) -> int:
         write_trace_csv(trace, config.trace_path)
     out_path = args.out or config.summary_path
     _emit_json(summary.to_dict(), out_path)
-    if summary.exhausted:
-        raise StepBudgetExhausted(f"step budget {config.max_steps} exhausted after "
-                                  f"{summary.phases}/{config.phases} phases")
+    raise_if_exhausted(config, summary)
     return EXIT_OK
 
 

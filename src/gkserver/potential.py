@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from operator import eq, ne
 
 from .chains import harmonic_eet
 from .harmonic import alpha_table, rational_to_str
+from .simulate import diff_mask
 from .subsets import MemorylessPolicy
 
 __all__ = [
@@ -147,14 +147,6 @@ class TraceReport:
         }
 
 
-def _diff_mask(a, b, bits) -> int:
-    """Bit i set exactly where configurations a and b differ in coordinate i.
-
-    `bits` is (1, 2, 4, ...), one bit per coordinate.
-    """
-    return sum(compress(bits, map(ne, a, b)))
-
-
 def _scaled_drops(ctx: PotentialContext) -> list[list[int]]:
     """k times the expected drop of a forced uniform-policy move, indexed [d][c].
 
@@ -220,10 +212,10 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
         q, adv, r = s.alg_config, s.adv_config, s.request
         # the Hamming moves of the step, each computed once
         d_mid = sum(map(ne, q_prev, adv))
-        state = _diff_mask(q, adv, bits)
+        state = diff_mask(q, adv, bits)
         d_new = state.bit_count()
-        moved = _diff_mask(q_prev, q, bits)
-        unserved = _diff_mask(q, r, bits)
+        moved = diff_mask(q_prev, q, bits)
+        unserved = diff_mask(q, r, bits)
         jump = h[d_mid] - h[d_prev]
         if jump > bound * s.adv_cost:
             violations.append({

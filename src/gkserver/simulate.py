@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import chain, count, permutations, product
+from itertools import chain, compress, count, permutations, product
 from math import sqrt
+from operator import ne
 
 import numpy as np
 
@@ -55,7 +56,9 @@ __all__ = [
     "memoryless_step",
     "lower_bound_adversary_step",
     "n2_adversary_step",
+    "diff_mask",
     "run",
+    "raise_if_exhausted",
     "estimate_ratio",
     "state_histogram",
     "transition_counts",
@@ -388,12 +391,12 @@ class RunSummary:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _state_mask(q, adv) -> int:
-    mask = 0
-    for i, (a, b) in enumerate(zip(q, adv)):
-        if a != b:
-            mask |= 1 << i
-    return mask
+def diff_mask(a, b, bits) -> int:
+    """Bit i set exactly where configurations a and b differ in coordinate i.
+
+    `bits` is (1, 2, 4, ...), one bit per coordinate.
+    """
+    return sum(compress(bits, map(ne, a, b)))
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
@@ -403,8 +406,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
 _BLOCK, _CHUNK = 1024, 256  # phases seeded at once, integers drawn per call
-# the smallest point off x and y, for the points 0..2 lower_bound traces use
-_FREE = [[min({0, 1, 2} - {x, y}) for y in range(3)] for x in range(3)]
 
 
 def _words(n: int) -> list[int]:
@@ -457,36 +458,34 @@ def _phase_streams(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
 def _replay(config: ExperimentConfig, drawn: list[int]) -> Trace:
     """Rebuild a run's trace from the metric bit it drew at each step.
 
-    At a phase start the adversary moves its last server to 1 - x, the
-    smallest point off the shared one. The lower_bound request reveals
-    the adversary in the lowest differing metric and avoids both servers
-    elsewhere; the n2 request is the anti-configuration.
+    The adversary's update and request come from its public step
+    function, called once per distinct (policy, adversary) configuration
+    pair; each distinct (pair, drawn metric) move is built once. The
+    costs, the Hamming distance and the state mask are read off the
+    configurations.
     """
-    k = config.spec.k
-    q0 = (0,) * k
-    trace = Trace(k=k, n=config.spec.n, policy=config.policy, adversary=config.adversary,
+    spec = config.spec
+    q0 = (0,) * spec.k
+    trace = Trace(k=spec.k, n=spec.n, policy=config.policy, adversary=config.adversary,
                   seed=config.seed, q0=q0, adv0=q0)
-    flip = config.adversary == "n2"
+    bits = tuple(1 << i for i in range(spec.k))
+    if config.adversary == "n2":
+        adversary = _Memo(lambda key: n2_adversary_step(*key))
+    else:
+        adversary = _Memo(lambda key: lower_bound_adversary_step(*key, q0, spec))
 
     def move(key):
-        q, adv, mask, b = key
-        adv_cost = 0 if mask else 1
-        if not mask:
-            mask = 1 << (k - 1)
-            adv = adv[:-1] + (1 - adv[-1],)
-        if flip:
-            r = tuple(1 - x for x in q)
-        else:
-            m = (mask & -mask).bit_length() - 1
-            r = tuple(adv[i] if i == m else _FREE[q[i]][adv[i]] for i in range(k))
-        mask = mask ^ b if flip or b == mask & -mask else mask | b
+        q, adv, b = key
+        adv_next, r = adversary[q, adv]
         j = b.bit_length() - 1
-        return r, q[:j] + r[j:j + 1] + q[j + 1:], adv, adv_cost, mask.bit_count(), mask
+        q_next = q[:j] + r[j:j + 1] + q[j + 1:]
+        mask = diff_mask(q_next, adv_next, bits)
+        return r, q_next, adv_next, sum(map(ne, adv, adv_next)), mask.bit_count(), mask
 
     moves = _Memo(move)
-    q, adv, mask = q0, q0, 0
+    q = adv = q0
     for t, b in enumerate(drawn, 1):
-        r, q, adv, adv_cost, hamming, mask = moves[q, adv, mask, b]
+        r, q, adv, adv_cost, hamming, mask = moves[q, adv, b]
         trace.steps.append(TraceStep(t=t, request=r, alg_config=q, adv_config=adv, alg_cost=1,
                                      adv_cost=adv_cost, hamming=hamming, state_mask=mask))
     return trace
@@ -552,23 +551,21 @@ def run(config: ExperimentConfig):
     return summary, None if drawn is None else _replay(config, drawn)
 
 
-def estimate_ratio(config: ExperimentConfig, phases: int | None = None):
+def raise_if_exhausted(config: ExperimentConfig, summary: RunSummary) -> None:
+    """Raise StepBudgetExhausted if the run hit max_steps before its phase budget."""
+    if summary.exhausted:
+        raise StepBudgetExhausted(f"step budget {config.max_steps} exhausted after "
+                                  f"{summary.phases}/{config.phases} phases")
+
+
+def estimate_ratio(config: ExperimentConfig):
     """Point estimate of ALG/ADV with the phase-length standard error.
 
     Phases are i.i.d. by memorylessness and the built-in adversaries pay
     exactly 1 per phase, so the ratio is the mean phase length.
     """
-    if phases is not None:
-        config = ExperimentConfig(
-            spec=config.spec, policy=config.policy, adversary=config.adversary,
-            phases=phases, seed=config.seed, max_steps=config.max_steps,
-        )
-    summary, _ = run(config)
-    if summary.exhausted:
-        raise StepBudgetExhausted(
-            f"only {summary.phases}/{config.phases} phases completed within "
-            f"{config.max_steps} steps"
-        )
+    summary, _ = run(replace(config, emit_trace=False))
+    raise_if_exhausted(config, summary)
     return summary.ratio, summary.phase_length_se
 
 
@@ -588,9 +585,10 @@ def transition_counts(trace: Trace) -> dict[tuple[int, int], int]:
     the subset walk steps from.
     """
     counts: dict[tuple[int, int], int] = {}
+    bits = tuple(1 << i for i in range(trace.k))
     prev_q = trace.q0
     for s in trace.steps:
-        before = _state_mask(prev_q, s.adv_config)
+        before = diff_mask(prev_q, s.adv_config, bits)
         counts[(before, s.state_mask)] = counts.get((before, s.state_mask), 0) + 1
         prev_q = s.alg_config
     return counts

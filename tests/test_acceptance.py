@@ -66,12 +66,12 @@ def test_criterion_3_closed_form_vs_oracle_all_chains():
     count = 0
     for k in range(1, 13):
         for chain in (harmonic_chain(k), binary_chain(k)):
-            assert eet_table(chain, "closed_form") == eet_oracle_table(chain)
+            assert eet_table(chain) == eet_oracle_table(chain)
             count += 1
     for _ in range(200):
         k = rng.randint(1, 12)
         chain = random_chain(k, rng)
-        assert eet_table(chain, "closed_form") == eet_oracle_table(chain)
+        assert eet_table(chain) == eet_oracle_table(chain)
         count += 1
     _report(3, t0, 30, f"closed form = oracle on {count} chains (incl. 200 random)")
 

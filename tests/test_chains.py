@@ -97,7 +97,7 @@ def test_closed_form_rejects_degenerate_interior_up():
 def test_closed_form_matches_oracle_named_chains():
     for k in range(1, 13):
         for chain in (harmonic_chain(k), binary_chain(k)):
-            closed = eet_table(chain, method="closed_form")
+            closed = eet_table(chain)
             oracle = eet_oracle_table(chain)
             assert closed == oracle
 
@@ -106,7 +106,7 @@ def test_closed_form_matches_oracle_random_chains(rng):
     for _ in range(40):
         k = rng.randint(1, 12)
         chain = random_chain(k, rng)
-        assert eet_table(chain, method="closed_form") == eet_oracle_table(chain)
+        assert eet_table(chain) == eet_oracle_table(chain)
 
 
 def test_harmonic_eet_values():

@@ -1,5 +1,6 @@
 """Simulation engine: adversary steps, runs, traces, determinism, histograms."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -8,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkserver import simulate
 from gkserver.simulate import (
     TraceStep,
     ConfigError,
     ExperimentConfig,
     MetricSpec,
     PolicySampler,
+    StepBudgetExhausted,
+    estimate_ratio,
     lower_bound_adversary_step,
     memoryless_step,
     n2_adversary_step,
@@ -325,6 +329,45 @@ def test_run_matches_reference_step_functions_denominator_above_2_32():
     })
     _, trace = run(cfg)
     assert trace.steps == _replay_with_reference_functions(cfg)
+
+
+@pytest.mark.parametrize("adversary,n_point", [("lower_bound", 3), ("n2", 2)])
+def test_trace_takes_each_adversary_move_from_its_step_function(monkeypatch, adversary, n_point):
+    # the replay calls the public step once per distinct (policy, adversary)
+    # configuration pair it visits; a run without a trace calls neither
+    calls = {"lower_bound_adversary_step": [], "n2_adversary_step": []}
+    for name, seen in calls.items():
+        def counted(q, adv, *rest, _step=getattr(simulate, name), _seen=seen):
+            _seen.append((tuple(q), tuple(adv)))
+            return _step(q, adv, *rest)
+        monkeypatch.setattr(simulate, name, counted)
+    d = {"k": 3, "n": [n_point] * 3, "policy": ["1/2", "1/3", "1/6"], "adversary": adversary,
+         "phases": 200, "seed": 43}
+    run(ExperimentConfig.from_dict(d))
+    assert calls == {"lower_bound_adversary_step": [], "n2_adversary_step": []}
+    _, trace = run(ExperimentConfig.from_dict({**d, "emit_trace": True}))
+    before = zip([trace.q0] + [s.alg_config for s in trace.steps[:-1]],
+                 [trace.adv0] + [s.adv_config for s in trace.steps[:-1]])
+    used = f"{adversary}_adversary_step"
+    assert sorted(calls[used]) == sorted(set(before))
+    assert all(not seen for name, seen in calls.items() if name != used)
+
+
+def test_estimate_ratio_is_the_run_summary(monkeypatch):
+    cfg = _cfg(policy=["2/3", "1/3"], phases=400, seed=67)
+    summary, _ = run(cfg)
+    # a config that asks for a trace still builds none
+    monkeypatch.setattr(simulate, "_replay", None)
+    assert estimate_ratio(dataclasses.replace(cfg, emit_trace=True)) == (
+        summary.ratio, summary.phase_length_se)
+
+
+def test_estimate_ratio_raises_on_exhaustion():
+    cfg = _cfg(phases=10**6, max_steps=100)
+    summary, _ = run(cfg)
+    with pytest.raises(StepBudgetExhausted) as info:
+        estimate_ratio(cfg)
+    assert str(info.value) == f"step budget 100 exhausted after {summary.phases}/1000000 phases"
 
 
 @pytest.mark.parametrize("den, accepted", [(2**63 - 1, True), (2**63, False), (2**64 + 13, False)])

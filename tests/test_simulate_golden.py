@@ -14,8 +14,8 @@ from gkserver.simulate import ExperimentConfig, run, write_trace_csv
 
 
 def _cfg(k, n, policy, adversary, phases, seed, **extra):
-    d = {"k": k, "n": [n] * k, "policy": policy, "adversary": adversary,
-         "phases": phases, "seed": seed}
+    d = {"k": k, "n": n if isinstance(n, list) else [n] * k, "policy": policy,
+         "adversary": adversary, "phases": phases, "seed": seed}
     d.update(extra)
     return d
 
@@ -78,6 +78,26 @@ TRACE_SHA256 = {
                      "8284eb463faf02fbd79becb5f2bda7d6fd54b20b3dc0ea835d2841fc243daff5"),
     "n2k4": (_cfg(4, 2, ["1/4"] * 4, "n2", 200, 5, emit_trace=True),
              "b0ea72b30083399055fb0f1bca2b336521327240636a8f659ca03c447c01e075"),
+    # k = 1: every phase is one step
+    "lb1": (_cfg(1, 3, ["1"], "lower_bound", 50, 21, emit_trace=True),
+            "13c3f88f22a71b7e2dfaadc639eef492c065adc748cfe6da195742ca6936fbdd"),
+    # the k = 5 shape of the benchmark's trace_audit workload
+    "lb5": (_cfg(5, 3, ["1/5"] * 5, "lower_bound", 4, 22, emit_trace=True),
+            "698d9b764a137c2e02318e2d8d8f4d6debd6e6d4426c1cadb7253a26e8c2b275"),
+    # a skewed policy over metrics of 5, 4 and 3 points
+    "skew_n543": (_cfg(3, [5, 4, 3], ["1/2", "1/3", "1/6"], "lower_bound", 40, 23,
+                       emit_trace=True),
+                  "52e79498237aa5bfa40bde16bf7b7f49894882528e22975744fb1d861db3159c"),
+    "n2k6": (_cfg(6, 2, ["1/6"] * 6, "n2", 30, 24, emit_trace=True),
+             "859b8095f911fe2e0629b7d6d289d6ec84ed9d5886b9240444908cde68cb7524"),
+    # ends by the step budget in the middle of a phase
+    "max_steps": (_cfg(4, 3, ["1/4"] * 4, "lower_bound", 10**6, 19, max_steps=777,
+                       emit_trace=True),
+                  "5a73d423f114b701e65db9080378942df6138f8d3a6d72d8e29d9a993730b3c1"),
+    # metric bits above 2^63, cut by the step budget inside the first phase
+    "k64_max_steps": (_cfg(64, 3, ["1/64"] * 64, "lower_bound", 5, 25, max_steps=500,
+                           emit_trace=True),
+                      "dd7546054e240d4cb9121184d6da47098c94b7be7e986c1389b31dd70bdbf809"),
 }
 
 
