@@ -197,10 +197,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _malformed_if_raises(steps):
+    """Yield a CSV trace's steps as they are parsed; one that fails to parse is malformed."""
+    with _prefixed("malformed trace: "):
+        yield from steps
+
+
 def cmd_verify(args) -> int:
     with _prefixed("malformed trace: "):
         trace = read_trace_csv(args.trace)
-    report = verify_trace(trace)
+    report = verify_trace(dataclasses.replace(trace, steps=_malformed_if_raises(trace.steps)))
     _emit_json(report.to_dict(), args.out)
     return EXIT_OK if report.ok else EXIT_VERIFY
 

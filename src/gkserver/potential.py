@@ -163,7 +163,7 @@ def _scaled_drops(ctx: PotentialContext) -> list[list[int]]:
 
 
 def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
-    """Audit a uniform-policy trace step by step.
+    """Audit a uniform-policy trace step by step, in one pass over trace.steps.
 
     Hard checks per step: the adversary's move may not raise the
     potential by more than k * a(k) per unit of its cost, and the facts
@@ -205,10 +205,9 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     realized_total = 0
     min_drift: int | None = None   # k * the smallest expected drop
     violations: list[dict] = []
-    alg_cost = 0
-    adv_cost = 0
+    alg_cost = adv_cost = steps = 0
 
-    for s in trace.steps:
+    for steps, s in enumerate(trace.steps, 1):
         q, adv, r = s.alg_config, s.adv_config, s.request
         # the Hamming moves of the step, each computed once
         d_mid = sum(map(ne, q_prev, adv))
@@ -259,7 +258,7 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     residual = k * realized_total - expected_total  # k * (realized - expected)
     bound_holds = k * alg_cost <= k * (bound * adv_cost + phi_start - phi_end) - residual
     return TraceReport(
-        steps=len(trace.steps),
+        steps=steps,
         alg_cost=alg_cost,
         adv_cost=adv_cost,
         potential_start=phi_start,

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, compress, count, permutations, product
 from math import sqrt
@@ -96,12 +98,14 @@ class MetricSpec:
         return len(self.n)
 
 
-def _validate_config_point(spec: MetricSpec, cfg, what: str) -> None:
+def _validate_config_point(spec: MetricSpec, cfg, what: str):
+    """cfg, once it is checked to be a point of spec's metrics; what names it in an error."""
     if len(cfg) != spec.k:
         raise ConfigError(f"{what} has {len(cfg)} coordinates, expected {spec.k}")
     for i, (x, ni) in enumerate(zip(cfg, spec.n), start=1):
         if not 0 <= x < ni:
             raise ConfigError(f"{what} coordinate {i} = {x} outside 0..{ni - 1}")
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -317,7 +321,7 @@ def n2_adversary_step(q_prev, adv_prev):
     return adv_next, r
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceStep:
     t: int
     request: tuple[int, ...]
@@ -331,7 +335,7 @@ class TraceStep:
 
 @dataclass
 class Trace:
-    """Full step-by-step record of one run."""
+    """Step-by-step record of one run; `steps` is one-pass, produced as it is read."""
 
     k: int
     n: tuple[int, ...]
@@ -340,15 +344,7 @@ class Trace:
     seed: int
     q0: tuple[int, ...]
     adv0: tuple[int, ...]
-    steps: list[TraceStep] = field(default_factory=list)
-
-    @property
-    def alg_cost(self) -> int:
-        return sum(s.alg_cost for s in self.steps)
-
-    @property
-    def adv_cost(self) -> int:
-        return sum(s.adv_cost for s in self.steps)
+    steps: Iterable[TraceStep]
 
 
 @dataclass(frozen=True)
@@ -455,8 +451,47 @@ def _phase_streams(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     return streams
 
 
-def _replay(config: ExperimentConfig, drawn: list[int]) -> Trace:
-    """Rebuild a run's trace from the metric bit it drew at each step.
+def _walk(config: ExperimentConfig, lengths: list[int]):
+    """Walk the mask S of differing metrics; yield the metric bits each chunk drew and used.
+
+    Both adversaries force a policy move every step and move one server
+    per phase, so a run is a walk on S: a phase starts at S = {k}, the
+    drawn metric leaves S if it is min S and joins S otherwise
+    (lower_bound) or always flips (n2), and the phase ends at S = {}.
+    Each phase loads its (seed, i) stream into one reused PCG64; a finished
+    phase appends its length to `lengths`. config.max_steps cuts the walk.
+    """
+    k = config.spec.k
+    den, (thresholds,) = exact_thresholds(config.policy.probs)
+    cuts = np.array(thresholds)
+    # a bit beyond the 63rd does not fit int64
+    bits = np.array([1 << j for j in range(k)], dtype=np.int64 if k < 64 else object)
+    flip = config.adversary == "n2"
+    gen = np.random.Generator(np.random.PCG64(0))
+    streams = (stream for first in range(0, config.phases, _BLOCK)
+               for stream in _phase_streams(config.seed, first,
+                                            min(first + _BLOCK, config.phases)))
+    steps = 0
+    for state, inc in streams:
+        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+        mask, begin = 1 << (k - 1), steps
+        while mask and steps < config.max_steps:
+            room = config.max_steps - steps
+            draws = bits[cuts.searchsorted(gen.integers(0, den, size=_CHUNK), "right")].tolist()
+            for n, b in enumerate(draws if room >= _CHUNK else draws[:room], 1):
+                mask = mask ^ b if flip or b == mask & -mask else mask | b
+                if not mask:
+                    break
+            steps += n
+            yield draws[:n]
+        if mask:
+            return
+        lengths.append(steps - begin)
+
+
+def _replay(config: ExperimentConfig) -> Trace:
+    """A run's trace, whose steps come from a fresh walk over the run's seeds.
 
     The adversary's update and request come from its public step
     function, called once per distinct (policy, adversary) configuration
@@ -466,8 +501,6 @@ def _replay(config: ExperimentConfig, drawn: list[int]) -> Trace:
     """
     spec = config.spec
     q0 = (0,) * spec.k
-    trace = Trace(k=spec.k, n=spec.n, policy=config.policy, adversary=config.adversary,
-                  seed=config.seed, q0=q0, adv0=q0)
     bits = tuple(1 << i for i in range(spec.k))
     if config.adversary == "n2":
         adversary = _Memo(lambda key: n2_adversary_step(*key))
@@ -482,59 +515,25 @@ def _replay(config: ExperimentConfig, drawn: list[int]) -> Trace:
         mask = diff_mask(q_next, adv_next, bits)
         return r, q_next, adv_next, sum(map(ne, adv, adv_next)), mask.bit_count(), mask
 
-    moves = _Memo(move)
-    q = adv = q0
-    for t, b in enumerate(drawn, 1):
-        r, q, adv, adv_cost, hamming, mask = moves[q, adv, b]
-        trace.steps.append(TraceStep(t=t, request=r, alg_config=q, adv_config=adv, alg_cost=1,
-                                     adv_cost=adv_cost, hamming=hamming, state_mask=mask))
-    return trace
+    def steps():
+        moves = _Memo(move)
+        q = adv = q0
+        for t, b in enumerate(chain.from_iterable(_walk(config, [])), 1):
+            r, q, adv, adv_cost, hamming, mask = moves[q, adv, b]
+            yield TraceStep(t, r, q, adv, 1, adv_cost, hamming, mask)
+
+    return Trace(k=spec.k, n=spec.n, policy=config.policy, adversary=config.adversary,
+                 seed=config.seed, q0=q0, adv0=q0, steps=steps())
 
 
 def run(config: ExperimentConfig):
     """Drive the request loop until the phase budget or step budget runs out.
 
-    Returns (RunSummary, Trace or None). Both adversaries force a policy
-    move every step and move one server per phase, so the run is a walk
-    on the mask S of differing metrics: a phase starts at S = {k}, the
-    drawn metric leaves S if it is min S and joins S otherwise
-    (lower_bound) or always flips (n2), and the phase ends at S = {}.
-    Each phase loads its (seed, i) stream into one reused PCG64. With
-    emit_trace, _replay rebuilds the configurations from the walk's bits.
+    Returns (RunSummary, Trace or None); the summary keeps no per-step
+    record. The trace's steps walk the same seeds again as they are read.
     """
-    k = config.spec.k
-    den, (thresholds,) = exact_thresholds(config.policy.probs)
-    cuts = np.array(thresholds)
-    # a bit beyond the 63rd does not fit int64
-    bits = np.array([1 << j for j in range(k)], dtype=np.int64 if k < 64 else object)
-    flip = config.adversary == "n2"
-    gen = np.random.Generator(np.random.PCG64(0))
-    streams = (stream for first in range(0, config.phases, _BLOCK)
-               for stream in _phase_streams(config.seed, first,
-                                            min(first + _BLOCK, config.phases)))
-    drawn = [] if config.emit_trace else None
     lengths: list[int] = []
-    steps = 0
-    exhausted = False
-    for state, inc in streams:
-        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state, "inc": inc}}
-        mask, begin = 1 << (k - 1), steps
-        while mask and steps < config.max_steps:
-            room = config.max_steps - steps
-            draws = bits[cuts.searchsorted(gen.integers(0, den, size=_CHUNK), "right")].tolist()
-            for n, b in enumerate(draws if room >= _CHUNK else draws[:room], 1):
-                mask = mask ^ b if flip or b == mask & -mask else mask | b
-                if not mask:
-                    break
-            steps += n
-            if drawn is not None:
-                drawn += draws[:n]
-        if mask:
-            exhausted = True
-            break
-        lengths.append(steps - begin)
-
+    steps = sum(map(len, _walk(config, lengths)))
     phases = len(lengths)
     alg_cost = sum(lengths)
     mean_len, max_len, se, ratio = 0.0, 0, 0.0, None
@@ -546,9 +545,10 @@ def run(config: ExperimentConfig):
         alg_cost=alg_cost, adv_cost=phases, ratio=ratio, phases=phases,
         mean_phase_length=mean_len, max_phase_length=max_len, phase_length_se=se,
         steps=steps, seed=config.seed, policy=tuple(config.policy.as_strs()),
-        adversary=config.adversary, k=k, n=config.spec.n, exhausted=exhausted,
+        adversary=config.adversary, k=config.spec.k, n=config.spec.n,
+        exhausted=phases < config.phases,
     )
-    return summary, None if drawn is None else _replay(config, drawn)
+    return summary, _replay(config) if config.emit_trace else None
 
 
 def raise_if_exhausted(config: ExperimentConfig, summary: RunSummary) -> None:
@@ -571,10 +571,7 @@ def estimate_ratio(config: ExperimentConfig):
 
 def state_histogram(trace: Trace) -> dict[int, int]:
     """Visit counts of each post-step subset state (bitmask of differing metrics)."""
-    counts: dict[int, int] = {}
-    for s in trace.steps:
-        counts[s.state_mask] = counts.get(s.state_mask, 0) + 1
-    return counts
+    return dict(Counter(s.state_mask for s in trace.steps))
 
 
 def transition_counts(trace: Trace) -> dict[tuple[int, int], int]:
@@ -584,14 +581,13 @@ def transition_counts(trace: Trace) -> dict[tuple[int, int], int]:
     *current* adversary configuration (post-update), which is the state
     the subset walk steps from.
     """
-    counts: dict[tuple[int, int], int] = {}
+    counts: Counter[tuple[int, int]] = Counter()
     bits = tuple(1 << i for i in range(trace.k))
     prev_q = trace.q0
     for s in trace.steps:
-        before = diff_mask(prev_q, s.adv_config, bits)
-        counts[(before, s.state_mask)] = counts.get((before, s.state_mask), 0) + 1
+        counts[diff_mask(prev_q, s.adv_config, bits), s.state_mask] += 1
         prev_q = s.alg_config
-    return counts
+    return dict(counts)
 
 
 def _join(cfg) -> str:
@@ -604,7 +600,7 @@ def _split(s: str) -> tuple[int, ...]:
 
 class _Memo(dict):
     """A dict that computes each missing value once with `convert`: a trace
-    repeats few configurations and steps, so each is joined, parsed or replayed once."""
+    repeats few configurations and steps, so each is joined, parsed, checked or replayed once."""
 
     def __init__(self, convert):
         super().__init__()
@@ -615,8 +611,11 @@ class _Memo(dict):
         return value
 
 
+_COLUMNS = "t,request,alg_config,adv_config,alg_cost,adv_cost,hamming,state_mask"
+
+
 def write_trace_csv(trace: Trace, path: str) -> None:
-    """Deterministic CSV with a self-describing comment header."""
+    """Deterministic CSV with a self-describing comment header; consumes trace.steps."""
     header = [
         "# gkserver-trace v1",
         f"# k={trace.k}",
@@ -626,7 +625,7 @@ def write_trace_csv(trace: Trace, path: str) -> None:
         f"# seed={trace.seed}",
         f"# q0={_join(trace.q0)}",
         f"# adv0={_join(trace.adv0)}",
-        "t,request,alg_config,adv_config,alg_cost,adv_cost,hamming,state_mask",
+        _COLUMNS,
     ]
     text = _Memo(_join)
     with open(path, "w", newline="\n") as fh:
@@ -638,67 +637,72 @@ def write_trace_csv(trace: Trace, path: str) -> None:
         )
 
 
+def _numbered_lines(path: str):
+    """(line number, line without its newline) of a UTF-8 file, open while iterated."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            yield lineno, raw.rstrip("\n")
+
+
 def read_trace_csv(path: str) -> Trace:
     """Parse a trace written by write_trace_csv; raises ValueError on malformed input.
 
-    Malformed includes a header n that does not list k metrics and a
-    configuration or request of the wrong width or with a point outside
-    its metric's 0..n_i - 1; the error names the first step that holds it.
+    The header is checked here; the steps are parsed as they are read, so
+    a bad step raises then. Malformed includes a `#` line after the column
+    header, a repeated header key, a header n that does not list k metrics
+    and a configuration or request of the wrong width or with a point
+    outside its metric's 0..n_i - 1; the error names the first such step.
     """
+    lines = _numbered_lines(path)
     meta: dict[str, str] = {}
-    steps: list[TraceStep] = []
-    configs = _Memo(_split)  # also lets each distinct configuration be checked once
-    header_seen = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
+    for lineno, line in lines:
+        if line == _COLUMNS:
+            break
+        if line.startswith("#"):
+            key, eq, val = map(str.strip, line[1:].partition("="))
+            if not eq:
                 continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, val = body.split("=", 1)
-                    meta[key.strip()] = val.strip()
-                continue
-            if not header_seen:
-                expected = "t,request,alg_config,adv_config,alg_cost,adv_cost,hamming,state_mask"
-                if line != expected:
-                    raise ValueError(f"line {lineno}: unexpected column header {line!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 8:
-                raise ValueError(f"line {lineno}: expected 8 fields, got {len(parts)}")
-            steps.append(TraceStep(
-                t=int(parts[0]), request=configs[parts[1]], alg_config=configs[parts[2]],
-                adv_config=configs[parts[3]], alg_cost=int(parts[4]), adv_cost=int(parts[5]),
-                hamming=int(parts[6]), state_mask=int(parts[7]),
-            ))
-    required = {"k", "n", "policy", "adversary", "seed", "q0", "adv0"}
-    missing = required - meta.keys()
+            if key in meta:
+                raise ValueError(f"line {lineno}: repeated header key {key!r}")
+            meta[key] = val
+        elif line:
+            raise ValueError(f"line {lineno}: unexpected column header {line!r}")
+    missing = {"k", "n", "policy", "adversary", "seed", "q0", "adv0"} - meta.keys()
     if missing:
         raise ValueError(f"trace header missing fields: {sorted(missing)}")
-    if not steps:
-        raise ValueError("trace holds no steps")
-    policy = MemorylessPolicy.from_probs(
-        [rational_from_str(p) for p in meta["policy"].split(";")]
-    )
-    trace = Trace(
-        k=int(meta["k"]), n=_split(meta["n"]), policy=policy,
-        adversary=meta["adversary"], seed=int(meta["seed"]),
-        q0=_split(meta["q0"]), adv0=_split(meta["adv0"]), steps=steps,
-    )
-    if trace.k != len(trace.n) or trace.k != len(trace.q0) or trace.k != policy.k:
+    policy = MemorylessPolicy.from_probs(list(map(rational_from_str, meta["policy"].split(";"))))
+    k, n, seed = int(meta["k"]), _split(meta["n"]), int(meta["seed"])
+    q0, adv0 = _split(meta["q0"]), _split(meta["adv0"])
+    if k != len(n) or k != len(q0) or k != policy.k:
         raise ValueError("trace header is inconsistent (k vs n vs q0 vs policy length)")
-    spec = MetricSpec(n=trace.n)
-    _validate_config_point(spec, trace.q0, "q0")
-    _validate_config_point(spec, trace.adv0, "adv0")
-    try:
-        for cfg in configs.values():
-            _validate_config_point(spec, cfg, "configuration")
-    except ConfigError:
-        for s in steps:
-            for column in ("request", "alg_config", "adv_config"):
-                _validate_config_point(spec, getattr(s, column), f"step t={s.t}: {column}")
-        raise
-    return trace
+    spec = MetricSpec(n=n)
+    _validate_config_point(spec, q0, "q0")
+    _validate_config_point(spec, adv0, "adv0")
+    return Trace(k=k, n=n, policy=policy, adversary=meta["adversary"], seed=seed,
+                 q0=q0, adv0=adv0, steps=_read_steps(lines, spec))
+
+
+def _read_steps(lines, spec: MetricSpec):
+    """Yield the steps of the lines after the column header, each checked as it is parsed."""
+    # each distinct configuration is parsed and checked once
+    configs = _Memo(lambda text: _validate_config_point(spec, _split(text), "configuration"))
+    step = None
+    for lineno, line in lines:
+        if not line:
+            continue
+        if line.startswith("#"):
+            raise ValueError(f"line {lineno}: '#' line after the column header")
+        parts = line.split(",")
+        if len(parts) != 8:
+            raise ValueError(f"line {lineno}: expected 8 fields, got {len(parts)}")
+        try:
+            step = TraceStep(int(parts[0]), configs[parts[1]], configs[parts[2]],
+                             configs[parts[3]], int(parts[4]), int(parts[5]),
+                             int(parts[6]), int(parts[7]))
+        except ConfigError:  # a configuration seen for the first time: name its column
+            for column, text in zip(("request", "alg_config", "adv_config"), parts[1:4]):
+                _validate_config_point(spec, _split(text), f"step t={int(parts[0])}: {column}")
+            raise
+        yield step
+    if step is None:
+        raise ValueError("trace holds no steps")

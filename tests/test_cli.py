@@ -194,6 +194,31 @@ def test_verify_flags_understated_policy_cost(tmp_path, capsys):
     assert {"t": 1, "kind": "alg_cost_mismatch", "declared": 0, "actual": 1} in d["hard_violations"]
 
 
+# run in a fresh interpreter, so the peak RSS it prints is that one command's
+_PEAK_RSS = ("import resource, sys; from gkserver.cli import main; code = main(sys.argv[1:]); "
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
+
+
+def _peak_rss_kib(*argv):
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux")
+def test_traced_simulate_and_verify_hold_flat_memory(tmp_path):
+    # ten times the phases (about 30 k against 300 k steps) may not cost 8 MB more
+    peaks = []
+    for phases in (2000, 20000):
+        trace = tmp_path / f"t{phases}.csv"
+        path = _write_config(tmp_path, k=3, n=[3] * 3, policy=["1/3"] * 3, phases=phases,
+                             emit_trace=True, trace_path=str(trace))
+        peaks.append((_peak_rss_kib("--out", str(tmp_path / "s.json"), "simulate", str(path)),
+                      _peak_rss_kib("--out", str(tmp_path / "r.json"), "verify", str(trace))))
+    growth = [large - small for small, large in zip(*peaks)]
+    assert max(growth) < 8 * 1024, f"peak RSS grew by {growth} KiB (simulate, verify)"
+
+
 def test_system_uncertified_exact_solve_exits_solver(monkeypatch, capsys):
     real = subsets._lifted
     monkeypatch.setattr(subsets, "_lifted", lambda digits, i: real(digits, i) + (i == 2))

@@ -5,6 +5,10 @@ an exception to an `error: ...` line and an exit code, and must not change.
 Stdout is pinned by its sha256 ("" when empty): the `simulate` summary
 written before exit 4 and the `verify` report before exit 5 included.
 The divergent k = 14 iterative solve (exit 3 after about 10 s) is left out.
+The header-only and mid-trace row cases were recorded before `verify`
+parsed the trace as a stream, so they pin what the stream must keep; with
+the header-order cases, they also check that a rejected trace leaves no
+report file behind.
 """
 
 import contextlib
@@ -50,14 +54,31 @@ TRACE_EDITS = {
 }
 
 
+def _row(lines, i, edit):
+    return lines[:i] + [",".join(edit(lines[i].split(",")))] + lines[i + 1:]
+
+
+# trace files derived line by line from a simulated uniform k = 2, 20-phase
+# trace of 77 steps; line index 40 holds step t = 32
+TRACE_LINES = {
+    "header_only.csv": lambda lines: lines[:9],
+    "short_row.csv": lambda lines: _row(lines, 40, lambda f: f[:7]),
+    "cost_not_int.csv": lambda lines: _row(lines, 40, lambda f: f[:4] + ["one"] + f[5:]),
+    "late_q0.csv": lambda lines: lines + ["# q0=1;1"],
+    "late_policy.csv": lambda lines: lines + ["# policy=2/3;1/3"],
+    "repeated_key.csv": lambda lines: lines[:8] + ["# q0=1;1"] + lines[8:],
+}
+
+
 def _inputs(tmp):
     """Write every file the cases name, under tmp."""
     for name, d in CONFIGS.items():
         (tmp / name).write_text(json.dumps(d))
     for name, data in RAW.items():
         (tmp / name).write_bytes(data)
-    for name, policy in (("uniform", ["1/2", "1/2"]), ("skewed", ["2/3", "1/3"])):
-        cfg = {**CONFIG, "policy": policy, "emit_trace": True,
+    for name, policy, phases in (("uniform", ["1/2", "1/2"], 2), ("skewed", ["2/3", "1/3"], 2),
+                                 ("long", ["1/2", "1/2"], 20)):
+        cfg = {**CONFIG, "policy": policy, "phases": phases, "emit_trace": True,
                "trace_path": str(tmp / f"{name}.csv")}
         (tmp / f"{name}.json").write_text(json.dumps(cfg))
         with contextlib.redirect_stdout(io.StringIO()):
@@ -66,6 +87,10 @@ def _inputs(tmp):
     for name, (old, new) in TRACE_EDITS.items():
         assert old in text
         (tmp / name).write_bytes(text.replace(old, new, 1).encode("latin-1"))
+    lines = (tmp / "long.csv").read_text().splitlines()
+    assert len(lines) == 9 + 77 and lines[40].startswith("32,")
+    for name, edit in TRACE_LINES.items():
+        (tmp / name).write_text("\n".join(edit(lines)) + "\n")
     # the adversary teleports two metrics at zero declared cost: exit 5, not an error
     lines = text.splitlines()
     first = lines[9].split(",")
@@ -251,6 +276,30 @@ CASES = {
         ["verify", "{tmp}/skewed.csv"], 2,
         "error: trace audit is defined for the uniform policy only\n",
         ""),
+    "trace_header_only": (
+        ["--out", "{tmp}/report.json", "verify", "{tmp}/header_only.csv"], 2,
+        "error: malformed trace: trace holds no steps\n",
+        ""),
+    "trace_short_row_mid_trace": (
+        ["--out", "{tmp}/report.json", "verify", "{tmp}/short_row.csv"], 2,
+        "error: malformed trace: line 41: expected 8 fields, got 7\n",
+        ""),
+    "trace_cost_not_int_mid_trace": (
+        ["--out", "{tmp}/report.json", "verify", "{tmp}/cost_not_int.csv"], 2,
+        "error: malformed trace: invalid literal for int() with base 10: 'one'\n",
+        ""),
+    "trace_header_key_after_steps": (
+        ["--out", "{tmp}/report.json", "verify", "{tmp}/late_q0.csv"], 2,
+        "error: malformed trace: line 87: '#' line after the column header\n",
+        ""),
+    "trace_policy_after_steps": (
+        ["--out", "{tmp}/report.json", "verify", "{tmp}/late_policy.csv"], 2,
+        "error: malformed trace: line 87: '#' line after the column header\n",
+        ""),
+    "trace_repeated_header_key": (
+        ["--out", "{tmp}/report.json", "verify", "{tmp}/repeated_key.csv"], 2,
+        "error: malformed trace: line 9: repeated header key 'q0'\n",
+        ""),
     "trace_violation": (
         ["verify", "{tmp}/teleport.csv"], 5,
         "",
@@ -279,4 +328,6 @@ def test_cli_error_golden(argv, code, stderr, stdout_sha256, tmp_path):
     got_code, out, err = run_case(argv, tmp_path)
     assert err == stderr
     assert got_code == code
+    if code == 2 and "--out" in argv:  # a rejected input leaves no report behind
+        assert not (tmp_path / "report.json").exists()
     assert (hashlib.sha256(out.encode()).hexdigest() if out else "") == stdout_sha256

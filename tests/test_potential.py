@@ -178,6 +178,7 @@ def test_verify_trace_bound_is_exact_identity_on_phase_boundaries():
 
 def test_verify_trace_detects_teleporting_adversary():
     trace = _uniform_trace(2, 50, seed=21)
+    trace.steps = list(trace.steps)  # a one-pass stream: keep it to index and re-read
     # corrupt one step: adversary jumps two metrics while claiming zero cost
     # (still serving the request, so the trace stays auditable)
     s = trace.steps[0]
@@ -279,6 +280,7 @@ _TAMPERS = {
 @pytest.mark.parametrize("kind", sorted(_TAMPERS))
 def test_verify_trace_flags_tampered_premise(kind):
     trace = _uniform_trace(3, 50, seed=21)
+    trace.steps = list(trace.steps)  # a one-pass stream: keep it to index and re-read
     assert verify_trace(trace).ok
     index, changes = _TAMPERS[kind](trace)
     trace.steps[index] = dataclasses.replace(trace.steps[index], **changes)
@@ -291,6 +293,7 @@ def test_verify_trace_flags_tampered_premise(kind):
 @pytest.mark.parametrize("kind", ["request_already_served", "request_not_served_by_adversary"])
 def test_verify_cli_reports_broken_drift_premise(kind, tmp_path, capsys):
     trace = _uniform_trace(3, 50, seed=21)
+    trace.steps = list(trace.steps)  # a one-pass stream: keep it to index and re-read
     index, changes = _TAMPERS[kind](trace)
     trace.steps[index] = dataclasses.replace(trace.steps[index], **changes)
     path = tmp_path / "t.csv"
@@ -314,6 +317,7 @@ _COLUMN_KINDS = {
 def test_edited_trace_column_fails_audit_after_csv_round_trip(tmp_path_factory, pick, column,
                                                               delta):
     trace = _uniform_trace(2, 30, seed=pick % 7)
+    trace.steps = list(trace.steps)  # a one-pass stream: keep it to index and re-read
     path = tmp_path_factory.mktemp("trace") / "t.csv"
     index = pick % len(trace.steps)
     s = trace.steps[index]
@@ -384,6 +388,7 @@ def test_verify_trace_report_golden(name):
 @pytest.mark.parametrize("kind", sorted(_TAMPERS))
 def test_verify_trace_tampered_report_golden(kind):
     trace = _uniform_trace(3, 50, seed=21)
+    trace.steps = list(trace.steps)  # a one-pass stream: keep it to index and re-read
     index, changes = _TAMPERS[kind](trace)
     trace.steps[index] = dataclasses.replace(trace.steps[index], **changes)
     assert _report_sha256(verify_trace(trace)) == _GOLDEN_TAMPERED_REPORTS[kind]
@@ -399,6 +404,7 @@ _POINTS = st.lists(st.integers(0, 2), min_size=6, max_size=6)
 def test_scaled_expected_drop_equals_expected_drift(k, adversary, seed, edits):
     # random traces, some steps with a random request or adversary configuration
     trace = _uniform_trace(k, 2, seed, adversary)
+    trace.steps = list(trace.steps)  # a one-pass stream: keep it to index and re-read
     n = 2 if adversary == "n2" else 3
     for pick, column, points in edits:
         index = pick % len(trace.steps)

@@ -178,10 +178,11 @@ def test_run_accounting_invariants():
     assert summary.adv_cost == summary.phases == 300  # adversary pays 1 per phase
     assert summary.alg_cost == summary.steps          # the policy moves every step
     assert not summary.exhausted
-    assert trace.alg_cost == summary.alg_cost
-    assert trace.adv_cost == summary.adv_cost
+    steps = list(trace.steps)
+    assert sum(s.alg_cost for s in steps) == summary.alg_cost
+    assert sum(s.adv_cost for s in steps) == summary.adv_cost
     # phase boundaries are exactly the zero-distance steps
-    boundaries = sum(1 for s in trace.steps if s.hamming == 0)
+    boundaries = sum(1 for s in steps if s.hamming == 0)
     assert boundaries == summary.phases
 
 
@@ -196,7 +197,7 @@ def test_run_deterministic_given_seed():
     a, ta = run(_cfg(phases=200, emit_trace=True))
     b, tb = run(_cfg(phases=200, emit_trace=True))
     assert a == b
-    assert ta.steps == tb.steps
+    assert list(ta.steps) == list(tb.steps)
 
 
 def test_run_skewed_policy_matches_subset_system():
@@ -308,7 +309,7 @@ def test_run_matches_reference_step_functions(adversary, n_point):
     })
     _, trace = run(cfg)
     replayed = _replay_with_reference_functions(cfg)
-    assert trace.steps == replayed
+    assert list(trace.steps) == replayed
 
 
 def test_run_matches_reference_step_functions_skewed_policy():
@@ -317,7 +318,7 @@ def test_run_matches_reference_step_functions_skewed_policy():
         "phases": 150, "seed": 57, "emit_trace": True,
     })
     _, trace = run(cfg)
-    assert trace.steps == _replay_with_reference_functions(cfg)
+    assert list(trace.steps) == _replay_with_reference_functions(cfg)
 
 
 def test_run_matches_reference_step_functions_denominator_above_2_32():
@@ -328,7 +329,7 @@ def test_run_matches_reference_step_functions_denominator_above_2_32():
         "adversary": "lower_bound", "phases": 60, "seed": 2**33, "emit_trace": True,
     })
     _, trace = run(cfg)
-    assert trace.steps == _replay_with_reference_functions(cfg)
+    assert list(trace.steps) == _replay_with_reference_functions(cfg)
 
 
 @pytest.mark.parametrize("adversary,n_point", [("lower_bound", 3), ("n2", 2)])
@@ -346,8 +347,9 @@ def test_trace_takes_each_adversary_move_from_its_step_function(monkeypatch, adv
     run(ExperimentConfig.from_dict(d))
     assert calls == {"lower_bound_adversary_step": [], "n2_adversary_step": []}
     _, trace = run(ExperimentConfig.from_dict({**d, "emit_trace": True}))
-    before = zip([trace.q0] + [s.alg_config for s in trace.steps[:-1]],
-                 [trace.adv0] + [s.adv_config for s in trace.steps[:-1]])
+    steps = list(trace.steps)
+    before = zip([trace.q0] + [s.alg_config for s in steps[:-1]],
+                 [trace.adv0] + [s.adv_config for s in steps[:-1]])
     used = f"{adversary}_adversary_step"
     assert sorted(calls[used]) == sorted(set(before))
     assert all(not seen for name, seen in calls.items() if name != used)
@@ -418,13 +420,14 @@ def test_phase_streams_reject_ranges_across_blocks():
 
 def test_trace_csv_round_trip(tmp_path):
     _, trace = run(_cfg(phases=50, emit_trace=True))
+    trace.steps = list(trace.steps)  # a one-pass stream: keep it to compare after writing
     path = tmp_path / "t.csv"
     write_trace_csv(trace, str(path))
     back = read_trace_csv(str(path))
     assert back.k == trace.k and back.n == trace.n and back.seed == trace.seed
     assert back.policy == trace.policy
     assert back.q0 == trace.q0 and back.adv0 == trace.adv0
-    assert back.steps == trace.steps
+    assert list(back.steps) == trace.steps
 
 
 def test_trace_reader_rejects_malformed(tmp_path):
