@@ -11,7 +11,6 @@ Library layout:
 """
 
 from .harmonic import (
-    Rational,
     alpha,
     alpha_bounds_check,
     alpha_closed_form,

@@ -20,10 +20,7 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from math import ceil, factorial, lcm
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "alpha",
     "alpha_closed_form",
     "alpha_table",

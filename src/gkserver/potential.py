@@ -180,7 +180,8 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     hard violation and adds no drift. Finally the telescoped bound is
     checked exactly. Every expected drop is an integer over k, so the
     audit keeps k times each expected quantity as an integer and builds
-    the report's fractions once at the end.
+    the report's fractions once at the end. A trace whose steps yield
+    nothing, such as an already consumed stream, raises ValueError.
     """
     policy = trace.policy
     if not policy.is_uniform:
@@ -253,6 +254,8 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
         alg_cost += s.alg_cost
         adv_cost += s.adv_cost
         q_prev, adv_prev, d_prev, t_prev = q, adv, d_new, s.t
+    if not steps:
+        raise ValueError("trace holds no steps")
 
     phi_end = h[d_prev]
     residual = k * realized_total - expected_total  # k * (realized - expected)

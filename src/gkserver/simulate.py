@@ -383,9 +383,6 @@ class RunSummary:
             "exhausted": self.exhausted,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 def diff_mask(a, b, bits) -> int:
     """Bit i set exactly where configurations a and b differ in coordinate i.
@@ -684,9 +681,13 @@ def read_trace_csv(path: str) -> Trace:
 
 def _read_steps(lines, spec: MetricSpec):
     """Yield the steps of the lines after the column header, each checked as it is parsed."""
-    # each distinct configuration is parsed and checked once
-    configs = _Memo(lambda text: _validate_config_point(spec, _split(text), "configuration"))
     step = None
+
+    def column(name):
+        # each distinct configuration is parsed and checked once per column
+        return _Memo(lambda text: _validate_config_point(spec, _split(text), name))
+
+    request, alg_config, adv_config = map(column, ("request", "alg_config", "adv_config"))
     for lineno, line in lines:
         if not line:
             continue
@@ -696,13 +697,11 @@ def _read_steps(lines, spec: MetricSpec):
         if len(parts) != 8:
             raise ValueError(f"line {lineno}: expected 8 fields, got {len(parts)}")
         try:
-            step = TraceStep(int(parts[0]), configs[parts[1]], configs[parts[2]],
-                             configs[parts[3]], int(parts[4]), int(parts[5]),
+            step = TraceStep(int(parts[0]), request[parts[1]], alg_config[parts[2]],
+                             adv_config[parts[3]], int(parts[4]), int(parts[5]),
                              int(parts[6]), int(parts[7]))
-        except ConfigError:  # a configuration seen for the first time: name its column
-            for column, text in zip(("request", "alg_config", "adv_config"), parts[1:4]):
-                _validate_config_point(spec, _split(text), f"step t={int(parts[0])}: {column}")
-            raise
+        except ConfigError as exc:  # a bad configuration: name its step as well as its column
+            raise ConfigError(f"step t={int(parts[0])}: {exc}") from exc
         yield step
     if step is None:
         raise ValueError("trace holds no steps")

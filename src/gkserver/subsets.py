@@ -44,7 +44,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, isqrt
 from operator import eq, mul
 from typing import NamedTuple
@@ -147,22 +147,17 @@ class MemorylessPolicy:
         return [rational_to_str(p) for p in self.probs]
 
 
-def _min_element(mask: int) -> int:
-    """Lowest set bit as a 1-based metric index."""
-    return (mask & -mask).bit_length()
-
-
 @dataclass(frozen=True)
 class SubsetSystem:
     """The subset-state equations times W = lcm of p's denominators, in integers.
 
-    scaled_rows = (W, [(mask, W b, columns, W coefficients), ...]), one row
-    per nonempty mask in increasing order, each over at most k + 2 masks;
-    h(0) = 0 is implicit.
+    scaled_rows = (W, [(columns, W coefficients), ...]), the row of mask
+    i + 1 at index i, each over at most k + 2 masks; every right side is
+    1, so W b is W in every row, and h(0) = 0 is implicit.
     """
 
     policy: MemorylessPolicy
-    scaled_rows: tuple[int, list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]]
+    scaled_rows: tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]
 
     @property
     def k(self) -> int:
@@ -172,25 +167,29 @@ class SubsetSystem:
     def rows(self) -> dict[int, tuple[dict[int, Fraction], Fraction]]:
         """The rows in Fractions: rows[mask] = (coefficients over masks, rhs)."""
         w, rows = self.scaled_rows
-        return {mask: ({c: Fraction(v, w) for c, v in zip(cols, vals)}, Fraction(wb, w))
-                for mask, wb, cols, vals in rows}
+        return {mask: ({c: Fraction(v, w) for c, v in zip(cols, vals)}, Fraction(1))
+                for mask, (cols, vals) in enumerate(rows, 1)}
 
     def residual(self, h) -> Fraction:
         """Max absolute violation of the equations by a candidate h over the masks.
 
-        h is a solution's view or a sequence of rationals. With h = x / delta,
-        the scaled residual W delta (b - A h) is the integer vector
-        delta (W b) - (W A) x.
+        h is a solution's view or a sequence of rationals.
         """
         w, rows = self.scaled_rows
         h = _scaled(h)
-        ax = _times(rows, h.x)
-        return Fraction(max(abs(wb * h.delta - ax[mask]) for mask, wb, _, _ in rows), w * h.delta)
+        unit = w * h.delta
+        return Fraction(max(map(abs, _residual(rows, repeat(unit), h.x))), unit)
 
 
-def _times(rows: list, x: list[int]) -> list[int]:
-    """(W A) x in integers, indexed by mask like x; entry 0 is 0."""
-    return [0] + [sum(map(mul, vals, map(x.__getitem__, cols))) for _, _, cols, vals in rows]
+def _residual(rows: list, b, x: list[int]) -> list[int]:
+    """b - (W A) x in integers, b and x indexed by mask; entry 0 is 0.
+
+    With h = x / delta and every entry of b equal to delta W (W b is W),
+    this is the scaled residual W delta (b - A h); the p-adic lift passes
+    its running residual as b.
+    """
+    return [0] + [bi - sum(map(mul, vals, map(x.__getitem__, cols)))
+                  for bi, (cols, vals) in zip(islice(b, 1, None), rows)]
 
 
 def build_system(policy: MemorylessPolicy) -> SubsetSystem:
@@ -211,7 +210,7 @@ def build_system(policy: MemorylessPolicy) -> SubsetSystem:
         outside[mask] = outside[mask ^ low] - wm
         free = [j for j in range(k) if not mask >> j & 1]
         first = mask == low  # a singleton's h(S \ {m}) is h(empty) = 0
-        rows.append((mask, w, (mask ^ low, *(mask | 1 << j for j in free), mask)[first:],
+        rows.append(((mask ^ low, *(mask | 1 << j for j in free), mask)[first:],
                      (-wm, *(-weights[j] for j in free), wm + outside[mask])[first:]))
     return SubsetSystem(policy=policy, scaled_rows=(w, rows))
 
@@ -360,13 +359,8 @@ def _eliminate(rows: dict, n: int, zero, modulus: int = 0) -> _Factors:
             lrow.append(rid)
             lval.append(f)
             for c, v in expr.items():
-                nv = rc.get(c, zero) - f * v
-                if nv == zero:
-                    rc.pop(c, None)
-                    occ[c].discard(rid)
-                else:
-                    rc[c] = nv
-                    occ[c].add(rid)
+                rc[c] = rc.get(c, zero) - f * v
+                occ[c].add(rid)
         lbound[x] = len(lrow)
     return _Factors(diag, ucol, uval, ubound, lrow, lval, lbound, modulus)
 
@@ -475,7 +469,7 @@ def _rebuild(digits: list[list[int]], probe: tuple[int, int]):
     yield den, nums
 
 
-def _lift(rows: list, n: int) -> tuple[int, list[int]]:
+def _lift(scaled_rows: tuple, n: int) -> tuple[int, list[int]]:
     """Dixon's p-adic lift: (delta, x) with W A x = delta W b, uncertified.
 
     W A is factored once modulo the prime P. Each lift solves for the
@@ -484,13 +478,11 @@ def _lift(rows: list, n: int) -> tuple[int, list[int]]:
     to the same fraction at two lifts in a row, `_rebuild` settles the
     entries, asking for more lifts as it needs them.
     """
-    factors = _eliminate({mask: dict(zip(cols, vals)) for mask, _, cols, vals in rows},
+    w, rows = scaled_rows
+    factors = _eliminate({mask: dict(zip(cols, vals)) for mask, (cols, vals) in enumerate(rows, 1)},
                          n, 0, _PRIME)
-    r = [0] * n
-    hadamard_bits = 0
-    for mask, wb, _, vals in rows:
-        r[mask] = wb
-        hadamard_bits += (wb * wb + sum(v * v for v in vals)).bit_length()
+    r = [0] + [w] * (n - 1)
+    hadamard_bits = sum((w * w + sum(v * v for v in vals)).bit_length() for _, vals in rows)
     # Numerators and denominators are Cramer determinants, below the
     # Hadamard bound H = 2^(hadamard_bits / 2). A rebuilt entry needs
     # m > 2 P hmax den d^2 with hmax, den and its new factor d below H.
@@ -500,7 +492,7 @@ def _lift(rows: list, n: int) -> tuple[int, list[int]]:
     for _ in range(max_lifts):
         y = _substitute(factors, r)
         digits.append(y)
-        r = [(ri - ai) // _PRIME for ri, ai in zip(r, _times(rows, y))]
+        r = [v // _PRIME for v in _residual(rows, r, y)]
         m *= _PRIME
         if rebuild is None:
             bound = isqrt(m >> 1)
@@ -522,11 +514,10 @@ def _solve_exact(system: SubsetSystem) -> _Scaled:
     vanishes modulo P, or if no reconstruction settles within the
     Hadamard bound.
     """
-    _, rows = system.scaled_rows
-    delta, x = _lift(rows, 1 << system.k)
-    ax = _times(rows, x)
-    for mask, wb, _, _ in rows:
-        if ax[mask] != wb * delta:
+    w, rows = system.scaled_rows
+    delta, x = _lift(system.scaled_rows, 1 << system.k)
+    for mask, v in enumerate(_residual(rows, repeat(w * delta), x)):
+        if v:
             raise ArithmeticError(f"p-adic solution fails the integer check at mask {mask:#x}")
     return _Scaled(delta, x)
 
@@ -538,8 +529,8 @@ def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: 
     correction by substitution alone. Every correction is a float, hence
     a dyadic rational, so h is held exactly as integers X * 2^-E. With
     W = lcm of the denominators of p, the scaled residual
-    W * 2^E * (b - A h) is the integer vector (W b) << E - (W A) X, where
-    W A and W b are the rows of `system`. Contraction per pass
+    W * 2^E * (b - A h) is the integer vector `_residual` forms with
+    delta = 2^E, from the rows of `system`. Contraction per pass
     is roughly machine-epsilon times the solution magnitude, so a few
     passes reach any practical tolerance.
 
@@ -550,19 +541,16 @@ def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: 
     it. Returns (h as a view over (2^E, X), iterations, residual).
     """
     n = 1 << system.k
-    w, int_rows = system.scaled_rows
-    wb = [0] + [b for _, b, _, _ in int_rows]
+    w, rows = system.scaled_rows
     # a / w is float(Fraction(a, w)): int true division rounds correctly
-    factors = _eliminate(
-        {mask: {c: a / w for c, a in zip(cols, vals)} for mask, _, cols, vals in int_rows},
-        n, 0.0,
-    )
+    factors = _eliminate({mask: {c: a / w for c, a in zip(cols, vals)}
+                          for mask, (cols, vals) in enumerate(rows, 1)}, n, 0.0)
     tn, td = tolerance.numerator, tolerance.denominator
     x = [0] * n
     e = 0
     for iteration in range(max_iterations + 1):
         scale = w << e
-        r = [(b << e) - ax for b, ax in zip(wb, _times(int_rows, x))]
+        r = _residual(rows, repeat(scale), x)
         worst = max(map(abs, r))
         # worst / scale * (1 + max(x) / 2^E) < tn / td, cross-multiplied
         if worst * ((1 << e) + max(x)) * td < (tn * scale) << e:
@@ -696,26 +684,22 @@ def phi_transform(sol: SubsetSolution) -> Sequence[Fraction]:
 
     Raises ValueError naming the first violated equation if the input
     solution is inconsistent. The equation at Sbar is the original one at
-    S = full \\ Sbar, checked on the integer drops:
-    drop(S, m) = 1 + sum_{j not in S} drop(S u {j}, j).
+    S = full \\ Sbar, so its residual is the system's residual at S,
+    compared against the solution's check_slack.
     Returns phi as a view like h, over x(full) - x(full \\ S) and h's delta.
     """
-    k = sol.k
-    full = (1 << k) - 1
-    drops, unit, sn, sd = _scaled_drops(sol)
-    margin = sn * unit
-    for sbar in range(full):
-        mask = full ^ sbar
-        lhs = drops(mask, _min_element(mask))
-        rhs = unit + sum(drops(mask | 1 << (j - 1), j)
-                         for j in range(1, k + 1) if sbar >> (j - 1) & 1)
-        if abs(lhs - rhs) * sd > margin:
-            raise ValueError(
-                f"transformed equation violated at Sbar mask {sbar:#x}: "
-                f"lhs {Fraction(lhs, unit)} != rhs {Fraction(rhs, unit)}"
-            )
+    full = (1 << sol.k) - 1
+    w, rows = build_system(sol.policy).scaled_rows
     delta, x = sol.scaled
-    return _Scaled(delta, [x[full] - x[full & ~mask] for mask in range(1 << k)])
+    unit = w * delta
+    slack = sol.check_slack
+    # phi's equations are the system's over h - h(empty): phi(full) reads h(empty)
+    r = _residual(rows, repeat(unit), [v - x[0] for v in x])
+    for sbar in range(full):
+        if abs(r[full ^ sbar]) * slack.denominator > slack.numerator * unit:
+            raise ValueError(f"transformed equation violated at Sbar mask {sbar:#x}: "
+                             f"residual {Fraction(r[full ^ sbar], unit)}")
+    return _Scaled(delta, [x[full] - x[full & ~mask] for mask in range(full + 1)])
 
 
 def competitive_gap(policy: MemorylessPolicy, solution: SubsetSolution | None = None) -> Fraction:

@@ -70,6 +70,98 @@ def test_chain_rejects_bad_k():
     assert run_cli("chain", "harmonic", "--k", "21") == EXIT_VALIDATION
 
 
+# --format json and --format table, pinned byte for byte; the CSV tests above
+# cover the third renderer
+_ALPHA = ("alpha", "--max", "3")
+_CHAIN = ("chain", "harmonic", "--k", "2")
+_SWEEP = ("sweep", "--k", "2", "--grid", "2/3,1/3")
+
+
+@pytest.mark.parametrize("argv, fmt, expected", [
+    (_ALPHA, "json", (
+        '[\n'
+        '  {\n'
+        '    "alpha": 1,\n'
+        '    "bounds_ok": true,\n'
+        '    "ell": 1,\n'
+        '    "factorial": 1\n'
+        '  },\n'
+        '  {\n'
+        '    "alpha": 2,\n'
+        '    "bounds_ok": true,\n'
+        '    "ell": 2,\n'
+        '    "factorial": 1\n'
+        '  },\n'
+        '  {\n'
+        '    "alpha": 5,\n'
+        '    "bounds_ok": true,\n'
+        '    "ell": 3,\n'
+        '    "factorial": 2\n'
+        '  }\n'
+        ']\n'
+    )),
+    (_ALPHA, "table", (
+        'ell  alpha  factorial  bounds_ok\n'
+        '1    1      1          True     \n'
+        '2    2      1          True     \n'
+        '3    5      2          True     \n'
+    )),
+    (_CHAIN, "json", (
+        '[\n'
+        '  {\n'
+        '    "chain_kind": "harmonic",\n'
+        '    "ell": 0,\n'
+        '    "h_den": 1,\n'
+        '    "h_num": 0,\n'
+        '    "k": 2,\n'
+        '    "oracle_match": true\n'
+        '  },\n'
+        '  {\n'
+        '    "chain_kind": "harmonic",\n'
+        '    "ell": 1,\n'
+        '    "h_den": 1,\n'
+        '    "h_num": 4,\n'
+        '    "k": 2,\n'
+        '    "oracle_match": true\n'
+        '  },\n'
+        '  {\n'
+        '    "chain_kind": "harmonic",\n'
+        '    "ell": 2,\n'
+        '    "h_den": 1,\n'
+        '    "h_num": 6,\n'
+        '    "k": 2,\n'
+        '    "oracle_match": true\n'
+        '  }\n'
+        ']\n'
+    )),
+    (_CHAIN, "table", (
+        'k  ell  h_num  h_den  chain_kind  oracle_match\n'
+        '2  0    0      1      harmonic    True        \n'
+        '2  1    4      1      harmonic    True        \n'
+        '2  2    6      1      harmonic    True        \n'
+    )),
+    (_SWEEP, "json", (
+        '[\n'
+        '  {\n'
+        '    "bound": "6/1",\n'
+        '    "gap": "2/1",\n'
+        '    "h_k": "6/1",\n'
+        '    "policy": "2/3,1/3",\n'
+        '    "sim_ratio": "",\n'
+        '    "status": "ok"\n'
+        '  }\n'
+        ']\n'
+    )),
+    (_SWEEP, "table", (
+        'policy   h_k  bound  gap  sim_ratio  status\n'
+        '2/3,1/3  6/1  6/1    2/1             ok    \n'
+    )),
+])
+def test_format_json_and_table_stdout(capsys, argv, fmt, expected):
+    assert run_cli("--format", fmt, *argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
 def test_system_uniform(capsys):
     assert run_cli("system", "--p", "1/2,1/2") == EXIT_OK
     d = json.loads(capsys.readouterr().out)

@@ -204,6 +204,19 @@ def test_verify_trace_requires_uniform_policy():
         verify_trace(trace)
 
 
+def test_verify_trace_rejects_a_spent_stream(tmp_path):
+    trace = _uniform_trace(2, 5, seed=3)
+    write_trace_csv(trace, str(tmp_path / "t.csv"))  # consumes the one-pass steps
+    with pytest.raises(ValueError, match="trace holds no steps"):
+        verify_trace(trace)
+
+
+def test_verify_trace_rejects_no_steps():
+    trace = dataclasses.replace(_uniform_trace(2, 5, seed=3), steps=[])
+    with pytest.raises(ValueError, match="trace holds no steps"):
+        verify_trace(trace)
+
+
 def test_residual_mean_near_zero_across_seeds():
     residuals = []
     for seed in range(30):

@@ -167,6 +167,13 @@ def test_phi_transform_flags_inconsistent_solution():
         phi_transform(broken)
 
 
+def test_phi_transform_flags_nonzero_h_of_the_empty_set():
+    sol = solve_system(MemorylessPolicy.uniform(3))
+    broken = dataclasses.replace(sol, h=(Fraction(1), *sol.h[1:]))
+    with pytest.raises(ValueError, match="transformed equation violated at Sbar mask 0x3"):
+        phi_transform(broken)
+
+
 def test_iterative_matches_exact(rng):
     cases = [random_policy(k, rng) for k in (2, 3, 4, 5, 6, 8)]
     cases.append(MemorylessPolicy.uniform(10))
