@@ -29,7 +29,6 @@ from .chains import (
     harmonic_chain,
     harmonic_eet,
     random_chain,
-    simulate_extinction_times,
     stationary_and_return_check,
 )
 from .subsets import (

@@ -15,10 +15,9 @@ Two named chains drive the analysis of memoryless k-server policies on
 uniform metrics: the *harmonic chain* (down 1/k, up (k-i)/k) tracks the
 Hamming distance between the uniform policy and an adversary that always
 reveals one of its servers, and the *binary chain* (down i/k, up (k-i)/k)
-is the same walk when every metric space has only two points.
-
-simulate_extinction_times samples absorption times exactly from int64
-draws, so it rejects a chain whose common denominator is 2^63 or more.
+is the same walk when every metric space has only two points. Nothing here
+samples: a uniform-policy phase of simulate.run() walks the harmonic chain
+from l = 1 against the lower_bound adversary, and the binary chain against n2.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
-from .harmonic import alpha_table, exact_thresholds
+from .harmonic import alpha_table
 
 __all__ = [
     "BirthDeathChain",
@@ -43,7 +40,6 @@ __all__ = [
     "binary_eet",
     "stationary_and_return_check",
     "random_chain",
-    "simulate_extinction_times",
 ]
 
 
@@ -234,11 +230,9 @@ def stationary_and_return_check(chain: BirthDeathChain) -> bool:
 def random_chain(k: int, rng, max_denominator: int = 20) -> BirthDeathChain:
     """A random valid chain with all probabilities rational, denominators bounded.
 
-    Interior up-probabilities are kept strictly positive so the closed
-    form applies at every start state. `rng` is a random.Random.
+    Interior up-probabilities stay positive so the closed form applies at
+    every start state. `rng` is a random.Random; k < 1 raises ValueError.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
     up = []
     down = []
     for i in range(1, k + 1):
@@ -259,31 +253,3 @@ def random_chain(k: int, rng, max_denominator: int = 20) -> BirthDeathChain:
                 break
     return BirthDeathChain(up=tuple(up), down=tuple(down))
 
-
-def simulate_extinction_times(
-    chain: BirthDeathChain, ell: int, walks: int, seed: int
-) -> np.ndarray:
-    """Monte-Carlo absorption times from state ell, one per walk.
-
-    Sampling is exact: thresholds are integers over the chain's common
-    denominator, which must be below 2^63 for int64 draws (ValueError otherwise),
-    and the walk consumes one uniform integer per step from a seeded PCG64 stream.
-    """
-    k = chain.k
-    if not 1 <= ell <= k:
-        raise ValueError(f"state out of range: {ell} not in 1..{k}")
-    den, cuts = exact_thresholds(*zip(chain.down, chain.up))
-    down_t, up_t = zip(*cuts)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    times, state, steps = [], ell, 0
-    while len(times) < walks:  # a buffer's draws after the last walk go unused
-        for u in rng.integers(0, den, size=4096).tolist():
-            steps += 1
-            if u < down_t[state - 1]:
-                state -= 1
-                if not state:
-                    times.append(steps)
-                    state, steps = ell, 0
-            elif u < up_t[state - 1]:
-                state += 1
-    return np.array(times[:walks], dtype=np.int64)

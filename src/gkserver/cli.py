@@ -256,6 +256,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if args.phases < 0:
         raise ConfigError(f"--phases must be >= 0, got {args.phases}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     specs = [tok.strip() for tok in args.grid.split(";") if tok.strip()]
     if not specs:
         raise ConfigError("empty policy grid")

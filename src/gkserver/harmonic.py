@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import ceil, factorial, lcm
 
 __all__ = [
@@ -136,12 +136,11 @@ def common_denominator(values) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def exact_thresholds(*rows) -> tuple[int, list[list[int]]]:
-    """(den, thresholds): the rows' common denominator and each row's cumulative integer
-    thresholds t, so u uniform below den lies in [t[j-1], t[j]) with probability row[j].
+def exact_thresholds(probs) -> tuple[int, list[int]]:
+    """(den, thresholds): the common denominator of probs and their cumulative integer
+    numerators t, so u uniform below den lies in [t[j-1], t[j]) with probability probs[j].
     Raises ValueError unless den < 2^63: draws are int64, and numpy compares 2^63 in float64."""
-    den, nums = common_denominator([p for row in rows for p in row])
+    den, nums = common_denominator(probs)
     if den >= 2**63:
         raise ValueError(f"common denominator {den} is not below 2^63")
-    nums = iter(nums)
-    return den, [list(accumulate(islice(nums, len(row)))) for row in rows]
+    return den, list(accumulate(nums))

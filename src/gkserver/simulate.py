@@ -167,6 +167,9 @@ class ExperimentConfig:
         missing = required - d.keys()
         if missing:
             raise ConfigError(f"config missing fields: {sorted(missing)}")
+        unknown = d.keys() - required - {"max_steps", "emit_trace", "trace_path", "summary_path"}
+        if unknown:
+            raise ConfigError(f"config has unknown fields: {sorted(unknown)}")
         k = d["k"]
         if type(k) is not int or k < 1:
             raise ConfigError(f"k must be a positive integer, got {k!r}")
@@ -234,7 +237,7 @@ class PolicySampler:
     """
 
     def __init__(self, policy: MemorylessPolicy, seed_key):
-        den, (self._thresholds,) = exact_thresholds(policy.probs)
+        den, self._thresholds = exact_thresholds(policy.probs)
         rng = np.random.default_rng(np.random.SeedSequence(seed_key))
         self._draws = chain.from_iterable(rng.integers(0, den, size=_CHUNK).tolist()
                                           for _ in count())
@@ -459,7 +462,7 @@ def _walk(config: ExperimentConfig, lengths: list[int]):
     phase appends its length to `lengths`. config.max_steps cuts the walk.
     """
     k = config.spec.k
-    den, (thresholds,) = exact_thresholds(config.policy.probs)
+    den, thresholds = exact_thresholds(config.policy.probs)
     cuts = np.array(thresholds)
     # a bit beyond the 63rd does not fit int64
     bits = np.array([1 << j for j in range(k)], dtype=np.int64 if k < 64 else object)

@@ -1,10 +1,7 @@
 """Birth-death chains: closed form vs linear-system oracle, named chains, bounds."""
 
-import hashlib
-import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from gkserver.chains import (
@@ -18,7 +15,6 @@ from gkserver.chains import (
     harmonic_chain,
     harmonic_eet,
     random_chain,
-    simulate_extinction_times,
     stationary_and_return_check,
 )
 from gkserver.harmonic import alpha_table
@@ -191,57 +187,3 @@ def test_eet_strictly_increasing():
             table = eet_oracle_table(chain)
             assert all(table[i + 1] > table[i] for i in range(k))
 
-
-def test_monte_carlo_extinction_time_matches_closed_form():
-    chain = harmonic_chain(3)
-    times = simulate_extinction_times(chain, 1, walks=100_000, seed=2024)
-    mean = float(np.mean(times))
-    se = float(np.std(times, ddof=1) / np.sqrt(len(times)))
-    assert se > 0
-    assert abs(mean - float(eet_closed_form(chain, 1))) <= 3 * se
-
-
-def _walk_sha256(chain, ell, walks, seed):
-    times = simulate_extinction_times(chain, ell, walks=walks, seed=seed)
-    assert times.dtype == np.int64 and times.shape == (walks,)
-    return hashlib.sha256(times.tobytes()).hexdigest()
-
-
-# recorded with the int64-lcm walk that compared numpy scalars; the same
-# draws must give the same absorption times
-WALK_SHA256 = {
-    "harmonic6": ((harmonic_chain(6), 1, 400, 7),
-                  "b23c94fb12de2b3b01482175ea28a46044e8de8abf2123690022a714ca144d83"),
-    "binary6": ((binary_chain(6), 2, 3000, 11),
-                "4a5d17c54f87c239bc4c7fdcbfd68e72d1316e38fc95fe88f9e72d7a203ddae5"),
-    "random5": ((random_chain(5, random.Random(3)), 3, 3000, 5),
-                "52e018d4a9a90e78303391246dc9e8f4a7b0f4235682b5015c4da34daca6a6fb"),
-    # 4294967311 is prime, so the denominator 5 * 4294967311 needs numpy's 64-bit draws
-    "above_2_32": ((BirthDeathChain(up=(Fraction(1, 4294967311), Fraction(0)),
-                                    down=(Fraction(2147483655, 4294967311), Fraction(3, 5))),
-                    1, 3000, 9),
-                   "6b2427551bb641f6b4127b17707ff594e8ac450b9057e164328784a251acae0f"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(WALK_SHA256))
-def test_extinction_time_walks_golden(name):
-    args, digest = WALK_SHA256[name]
-    assert _walk_sha256(*args) == digest
-
-
-def test_walk_rejects_denominator_beyond_int64_draws():
-    # the lcm 8198598465731368029274 wrapped to 8244097004327111770 in int64
-    chain = BirthDeathChain(
-        up=(Fraction(1, 1000003), Fraction(1, 1000037), Fraction(0)),
-        down=(Fraction(1, 4099), Fraction(1, 1000033), Fraction(1, 2)),
-    )
-    with pytest.raises(ValueError, match="2\\^63"):
-        simulate_extinction_times(chain, 1, walks=10, seed=1)
-
-
-def test_walk_samples_denominator_just_below_2_63():
-    chain = BirthDeathChain(up=(Fraction(0),), down=(Fraction(2**62, 2**63 - 1),))
-    times = simulate_extinction_times(chain, 1, walks=2000, seed=3)
-    # geometric with success probability just above 1/2
-    assert times.min() == 1 and abs(times.mean() - 2) < 0.15

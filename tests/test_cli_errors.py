@@ -32,6 +32,7 @@ NOWHERE = "/nonexistent"  # a directory that does not exist, so nothing can be w
 CONFIGS = {
     "budget.json": {**CONFIG, "phases": 10**6, "max_steps": 100},
     "partial.json": {"k": 2},
+    "typo_key.json": {**CONFIG, "max_step": 5},
     "no_trace_path.json": {**CONFIG, "emit_trace": True},
     "huge_den.json": {**CONFIG, "policy": HUGE_DEN},
     "long_policy.json": {**CONFIG, "policy": [f"{LONG}/{LONG}0", "1/2"]},
@@ -145,6 +146,8 @@ CASES = {
         ["--jobs", "0", *SWEEP], 2, "error: --jobs must be >= 1, got 0\n", ""),
     "sweep_phases_negative": (
         [*SWEEP, "--phases", "-1"], 2, "error: --phases must be >= 0, got -1\n", ""),
+    "sweep_seed_negative": (
+        ["--seed", "-1", *SWEEP], 2, "error: --seed must be >= 0, got -1\n", ""),
     "sweep_empty_grid": (
         ["sweep", "--k", "2", "--grid", " ; "], 2, "error: empty policy grid\n", ""),
     "policy_zero_probability": (
@@ -212,6 +215,10 @@ CASES = {
         ["simulate", "{tmp}/partial.json"], 2,
         "error: config missing fields: ['adversary', 'n', 'phases', 'policy', "
         "'seed']\n",
+        ""),
+    "config_unknown_field": (
+        ["simulate", "{tmp}/typo_key.json"], 2,
+        "error: config has unknown fields: ['max_step']\n",
         ""),
     "config_not_utf8": (
         ["simulate", "{tmp}/latin1.json"], 2,

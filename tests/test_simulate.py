@@ -332,6 +332,17 @@ def test_run_matches_reference_step_functions_denominator_above_2_32():
     assert list(trace.steps) == _replay_with_reference_functions(cfg)
 
 
+def test_run_matches_reference_step_functions_denominator_just_below_2_63():
+    # 2^63 - 1 is the largest common denominator that int64 draws allow
+    cfg = ExperimentConfig.from_dict({
+        "k": 2, "n": [3, 3], "policy": [f"{2**62}/{2**63 - 1}", f"{2**62 - 1}/{2**63 - 1}"],
+        "adversary": "lower_bound", "phases": 60, "seed": 2**33, "emit_trace": True,
+    })
+    assert exact_thresholds(cfg.policy.probs)[0] == 2**63 - 1
+    _, trace = run(cfg)
+    assert list(trace.steps) == _replay_with_reference_functions(cfg)
+
+
 @pytest.mark.parametrize("adversary,n_point", [("lower_bound", 3), ("n2", 2)])
 def test_trace_takes_each_adversary_move_from_its_step_function(monkeypatch, adversary, n_point):
     # the replay calls the public step once per distinct (policy, adversary)
