@@ -8,10 +8,11 @@ an unusable file path; 3 for an ArithmeticError (SolverError is one);
 verify has written its report; 0 is ok. A reader that closes the output
 pipe early ends the command with 141, as SIGPIPE would, and no error line.
 
-Output is a human table on a TTY and CSV when redirected; --format
-forces one of table/csv/json. Rationals serialize as "num/den" strings
-and integers as plain digits, both of any length, so nothing is rounded
-on the way out.
+alpha, chain and sweep write a human table on a TTY and CSV when
+redirected; --format forces one of table/csv/json for them. system,
+simulate and verify always write JSON. Rationals serialize as "num/den"
+strings and integers as plain digits, both of any length, so nothing is
+rounded on the way out.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ as an exact rational inequality on every finished trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import eq, ne
 
@@ -130,19 +130,12 @@ class TraceReport:
 
     def to_dict(self) -> dict:
         return {
-            "steps": self.steps,
-            "alg_cost": self.alg_cost,
-            "adv_cost": self.adv_cost,
-            "potential_start": self.potential_start,
-            "potential_end": self.potential_end,
+            **asdict(self),
             "residual": rational_to_str(self.residual),
             "residual_float": float(self.residual),
             "expected_drop_total": float(self.expected_drop_total),
-            "realized_drop_total": self.realized_drop_total,
             "min_expected_drift": None if self.min_expected_drift is None
             else float(self.min_expected_drift),
-            "hard_violations": self.hard_violations,
-            "bound_holds": self.bound_holds,
             "ok": self.ok,
         }
 

@@ -34,8 +34,9 @@ import json
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, compress, count, permutations, product
 from math import sqrt
 from operator import ne
@@ -70,6 +71,9 @@ __all__ = [
 
 ADVERSARY_KINDS = ("lower_bound", "n2")
 DEFAULT_MAX_STEPS = 10**9
+# entries in each cache of a traced run's distinct configurations and moves: a run of
+# 200 k steps at k <= 8 has fewer distinct moves, while at k = 64 nearly every step is new
+_CACHE_SIZE = 2**14
 
 
 class ConfigError(ValueError):
@@ -167,7 +171,9 @@ class ExperimentConfig:
         missing = required - d.keys()
         if missing:
             raise ConfigError(f"config missing fields: {sorted(missing)}")
-        unknown = d.keys() - required - {"max_steps", "emit_trace", "trace_path", "summary_path"}
+        # the fields with a default are the config's optional keys, and keep that default
+        optional = {f.name for f in fields(cls) if f.default is not MISSING}
+        unknown = d.keys() - required - optional
         if unknown:
             raise ConfigError(f"config has unknown fields: {sorted(unknown)}")
         k = d["k"]
@@ -192,10 +198,7 @@ class ExperimentConfig:
             adversary=d["adversary"],
             phases=d["phases"],
             seed=d["seed"],
-            max_steps=d.get("max_steps", DEFAULT_MAX_STEPS),
-            emit_trace=d.get("emit_trace", False),
-            trace_path=d.get("trace_path"),
-            summary_path=d.get("summary_path"),
+            **{name: d[name] for name in optional & d.keys()},
         )
 
     @classmethod
@@ -208,23 +211,6 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ConfigError("config file must hold a JSON object")
         return cls.from_dict(d)
-
-    def to_dict(self) -> dict:
-        d = {
-            "k": self.policy.k,
-            "n": list(self.spec.n),
-            "policy": self.policy.as_strs(),
-            "adversary": self.adversary,
-            "phases": self.phases,
-            "seed": self.seed,
-            "max_steps": self.max_steps,
-            "emit_trace": self.emit_trace,
-        }
-        if self.trace_path:
-            d["trace_path"] = self.trace_path
-        if self.summary_path:
-            d["summary_path"] = self.summary_path
-        return d
 
 
 class PolicySampler:
@@ -369,21 +355,11 @@ class RunSummary:
 
     def to_dict(self) -> dict:
         return {
-            "alg_cost": self.alg_cost,
-            "adv_cost": self.adv_cost,
+            **asdict(self),
             "ratio": None if self.ratio is None else rational_to_str(self.ratio),
             "ratio_float": None if self.ratio is None else float(self.ratio),
-            "phases": self.phases,
-            "mean_phase_length": self.mean_phase_length,
-            "max_phase_length": self.max_phase_length,
-            "phase_length_se": self.phase_length_se,
-            "steps": self.steps,
-            "seed": self.seed,
             "policy": list(self.policy),
-            "adversary": self.adversary,
-            "k": self.k,
             "n": list(self.n),
-            "exhausted": self.exhausted,
         }
 
 
@@ -497,29 +473,29 @@ def _replay(config: ExperimentConfig) -> Trace:
     function, called once per distinct (policy, adversary) configuration
     pair; each distinct (pair, drawn metric) move is built once. The
     costs, the Hamming distance and the state mask are read off the
-    configurations.
+    configurations. Each cache keeps its _CACHE_SIZE most recent entries.
     """
     spec = config.spec
     q0 = (0,) * spec.k
     bits = tuple(1 << i for i in range(spec.k))
     if config.adversary == "n2":
-        adversary = _Memo(lambda key: n2_adversary_step(*key))
+        adversary = lru_cache(_CACHE_SIZE)(n2_adversary_step)
     else:
-        adversary = _Memo(lambda key: lower_bound_adversary_step(*key, q0, spec))
+        adversary = lru_cache(_CACHE_SIZE)(
+            lambda q, adv: lower_bound_adversary_step(q, adv, q0, spec))
 
-    def move(key):
-        q, adv, b = key
-        adv_next, r = adversary[q, adv]
+    @lru_cache(_CACHE_SIZE)
+    def move(q, adv, b):
+        adv_next, r = adversary(q, adv)
         j = b.bit_length() - 1
         q_next = q[:j] + r[j:j + 1] + q[j + 1:]
         mask = diff_mask(q_next, adv_next, bits)
         return r, q_next, adv_next, sum(map(ne, adv, adv_next)), mask.bit_count(), mask
 
     def steps():
-        moves = _Memo(move)
         q = adv = q0
         for t, b in enumerate(chain.from_iterable(_walk(config, [])), 1):
-            r, q, adv, adv_cost, hamming, mask = moves[q, adv, b]
+            r, q, adv, adv_cost, hamming, mask = move(q, adv, b)
             yield TraceStep(t, r, q, adv, 1, adv_cost, hamming, mask)
 
     return Trace(k=spec.k, n=spec.n, policy=config.policy, adversary=config.adversary,
@@ -598,19 +574,6 @@ def _split(s: str) -> tuple[int, ...]:
     return tuple(map(int, s.split(";")))
 
 
-class _Memo(dict):
-    """A dict that computes each missing value once with `convert`: a trace
-    repeats few configurations and steps, so each is joined, parsed, checked or replayed once."""
-
-    def __init__(self, convert):
-        super().__init__()
-        self.convert = convert
-
-    def __missing__(self, key):
-        value = self[key] = self.convert(key)
-        return value
-
-
 _COLUMNS = "t,request,alg_config,adv_config,alg_cost,adv_cost,hamming,state_mask"
 
 
@@ -627,11 +590,11 @@ def write_trace_csv(trace: Trace, path: str) -> None:
         f"# adv0={_join(trace.adv0)}",
         _COLUMNS,
     ]
-    text = _Memo(_join)
+    text = lru_cache(_CACHE_SIZE)(_join)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(header) + "\n")
         fh.writelines(
-            f"{s.t},{text[s.request]},{text[s.alg_config]},{text[s.adv_config]},"
+            f"{s.t},{text(s.request)},{text(s.alg_config)},{text(s.adv_config)},"
             f"{s.alg_cost},{s.adv_cost},{s.hamming},{s.state_mask}\n"
             for s in trace.steps
         )
@@ -687,8 +650,8 @@ def _read_steps(lines, spec: MetricSpec):
     step = None
 
     def column(name):
-        # each distinct configuration is parsed and checked once per column
-        return _Memo(lambda text: _validate_config_point(spec, _split(text), name))
+        # each distinct configuration is parsed and checked once per column, while cached
+        return lru_cache(_CACHE_SIZE)(lambda text: _validate_config_point(spec, _split(text), name))
 
     request, alg_config, adv_config = map(column, ("request", "alg_config", "adv_config"))
     for lineno, line in lines:
@@ -700,8 +663,8 @@ def _read_steps(lines, spec: MetricSpec):
         if len(parts) != 8:
             raise ValueError(f"line {lineno}: expected 8 fields, got {len(parts)}")
         try:
-            step = TraceStep(int(parts[0]), request[parts[1]], alg_config[parts[2]],
-                             adv_config[parts[3]], int(parts[4]), int(parts[5]),
+            step = TraceStep(int(parts[0]), request(parts[1]), alg_config(parts[2]),
+                             adv_config(parts[3]), int(parts[4]), int(parts[5]),
                              int(parts[6]), int(parts[7]))
         except ConfigError as exc:  # a bad configuration: name its step as well as its column
             raise ConfigError(f"step t={int(parts[0])}: {exc}") from exc

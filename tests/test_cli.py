@@ -224,6 +224,20 @@ def test_simulate_summary(tmp_path, capsys):
     assert not d["exhausted"]
 
 
+def test_simulate_writes_summary_path_unless_out_is_given(tmp_path, capsys):
+    summary = tmp_path / "summary.json"
+    path = _write_config(tmp_path, summary_path=str(summary))
+    assert run_cli("simulate", str(path)) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    d = json.loads(summary.read_text())
+    assert d["phases"] == 200 and d["adv_cost"] == 200
+    summary.unlink()
+    out = tmp_path / "out.json"
+    assert run_cli("--out", str(out), "simulate", str(path)) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text()) == d and not summary.exists()
+
+
 def test_simulate_rejects_two_point_lower_bound(tmp_path):
     path = _write_config(tmp_path, n=[2, 2])
     assert run_cli("simulate", str(path)) == EXIT_VALIDATION
@@ -291,9 +305,9 @@ _PEAK_RSS = ("import resource, sys; from gkserver.cli import main; code = main(s
              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
 
 
-def _peak_rss_kib(*argv):
+def _peak_rss_kib(*argv, code=EXIT_OK):
     proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True, text=True)
-    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return int(proc.stdout)
 
 
@@ -306,6 +320,22 @@ def test_traced_simulate_and_verify_hold_flat_memory(tmp_path):
         path = _write_config(tmp_path, k=3, n=[3] * 3, policy=["1/3"] * 3, phases=phases,
                              emit_trace=True, trace_path=str(trace))
         peaks.append((_peak_rss_kib("--out", str(tmp_path / "s.json"), "simulate", str(path)),
+                      _peak_rss_kib("--out", str(tmp_path / "r.json"), "verify", str(trace))))
+    growth = [large - small for small, large in zip(*peaks)]
+    assert max(growth) < 8 * 1024, f"peak RSS grew by {growth} KiB (simulate, verify)"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts KiB on Linux")
+def test_traced_simulate_and_verify_hold_flat_memory_at_large_k(tmp_path):
+    # at k = 64 nearly every step is a new configuration pair, so only the caches'
+    # bound keeps twice the steps from costing 8 MB more; the step budget ends mid-phase
+    peaks = []
+    for max_steps in (20000, 40000):
+        trace = tmp_path / f"t{max_steps}.csv"
+        path = _write_config(tmp_path, k=64, n=[3] * 64, policy=["1/64"] * 64, phases=10,
+                             max_steps=max_steps, emit_trace=True, trace_path=str(trace))
+        peaks.append((_peak_rss_kib("--out", str(tmp_path / "s.json"), "simulate", str(path),
+                                    code=EXIT_BUDGET),
                       _peak_rss_kib("--out", str(tmp_path / "r.json"), "verify", str(trace))))
     growth = [large - small for small, large in zip(*peaks)]
     assert max(growth) < 8 * 1024, f"peak RSS grew by {growth} KiB (simulate, verify)"
@@ -417,6 +447,15 @@ def test_sweep_rejects_invalid_cell_with_diagnostic(capsys):
     assert "rejected" in out
     rows = _parse_csv(out)
     assert rows[1][3] == "0/1"  # the valid row still solves
+
+
+def test_sweep_rejects_policy_of_the_wrong_length(capsys):
+    assert run_cli("--format", "csv", "sweep", "--k", "2",
+                   "--grid", "1/3,1/3,1/3;1/2,1/2") == EXIT_OK
+    assert _parse_csv(capsys.readouterr().out)[1:] == [
+        ["1/3,1/3,1/3", "", "", "", "", "rejected: policy '1/3,1/3,1/3' has 3 entries, expected 2"],
+        ["1/2,1/2", "4/1", "4/1", "0/1", "", "ok"],
+    ]
 
 
 def test_sweep_uniform_only_grid(capsys):

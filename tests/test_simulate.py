@@ -449,9 +449,3 @@ def test_trace_reader_rejects_malformed(tmp_path):
     path.write_text("# gkserver-trace v1\n# k=2\nnot,a,header\n")
     with pytest.raises(ValueError):
         read_trace_csv(str(path))
-
-
-def test_config_json_round_trip():
-    cfg = _cfg(phases=17, emit_trace=True, trace_path="x.csv")
-    again = ExperimentConfig.from_dict(cfg.to_dict())
-    assert again == cfg
