@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, count, permutations, product
 from math import sqrt
-from operator import ne
+from operator import attrgetter, lt, ne
 
 import numpy as np
 
@@ -106,9 +106,10 @@ def _validate_config_point(spec: MetricSpec, cfg, what: str):
     """cfg, once it is checked to be a point of spec's metrics; what names it in an error."""
     if len(cfg) != spec.k:
         raise ConfigError(f"{what} has {len(cfg)} coordinates, expected {spec.k}")
-    for i, (x, ni) in enumerate(zip(cfg, spec.n), start=1):
-        if not 0 <= x < ni:
-            raise ConfigError(f"{what} coordinate {i} = {x} outside 0..{ni - 1}")
+    if min(cfg) < 0 or not all(map(lt, cfg, spec.n)):
+        for i, (x, ni) in enumerate(zip(cfg, spec.n), start=1):
+            if not 0 <= x < ni:
+                raise ConfigError(f"{what} coordinate {i} = {x} outside 0..{ni - 1}")
     return cfg
 
 
@@ -249,11 +250,10 @@ def memoryless_step(q, r, policy: MemorylessPolicy, sampler: PolicySampler):
     return tuple(new), j
 
 
-def _smallest_excluding(excluded, n: int) -> int:
-    for v in range(n):
-        if v not in excluded:
-            return v
-    raise ValueError(f"no point outside {excluded} in a {n}-point metric")
+@lru_cache(_CACHE_SIZE)
+def _free(a: int, b: int) -> int:
+    """The smallest point other than a and b: below 3, so a point of every metric of >= 3."""
+    return min({0, 1, 2} - {a, b})
 
 
 def lower_bound_adversary_step(q_prev, adv_prev, q0, spec: MetricSpec):
@@ -268,25 +268,19 @@ def lower_bound_adversary_step(q_prev, adv_prev, q0, spec: MetricSpec):
     deterministic.
     """
     k = spec.k
-    if any(ni < 3 for ni in spec.n):
+    if min(spec.n) < 3:
         raise ConfigError(
             f"lower_bound adversary needs >= 3 points in every metric, got n={list(spec.n)}"
         )
     _validate_config_point(spec, q_prev, "q_prev")
     _validate_config_point(spec, adv_prev, "adv_prev")
     if tuple(q_prev) == tuple(adv_prev):
-        z = _smallest_excluding({adv_prev[k - 1], q_prev[k - 1]}, spec.n[k - 1])
-        adv_next = tuple(q0[:k - 1]) + (z,)
+        adv_next = tuple(q0[:k - 1]) + (_free(adv_prev[k - 1], q_prev[k - 1]),)
     else:
         adv_next = tuple(adv_prev)
-    diff = [j for j in range(k) if q_prev[j] != adv_next[j]]
-    m = diff[0]
-    r = []
-    for j in range(k):
-        if j == m:
-            r.append(adv_next[j])
-        else:
-            r.append(_smallest_excluding({adv_next[j], q_prev[j]}, spec.n[j]))
+    m = list(map(ne, q_prev, adv_next)).index(True)
+    r = list(map(_free, adv_next, q_prev))
+    r[m] = adv_next[m]
     return adv_next, tuple(r)
 
 
@@ -300,7 +294,7 @@ def n2_adversary_step(q_prev, adv_prev):
     k = len(q_prev)
     if len(adv_prev) != k:
         raise ValueError("configurations must have equal length")
-    if any(x not in (0, 1) for x in tuple(q_prev) + tuple(adv_prev)):
+    if not {0, 1}.issuperset(chain(q_prev, adv_prev)):
         raise ConfigError("n2 adversary requires two-point metrics (coordinates 0/1)")
     if tuple(q_prev) == tuple(adv_prev):
         adv_next = tuple(adv_prev[: k - 1]) + (1 - adv_prev[k - 1],)
@@ -566,38 +560,39 @@ def transition_counts(trace: Trace) -> dict[tuple[int, int], int]:
     return dict(counts)
 
 
-def _join(cfg) -> str:
-    return ";".join(map(str, cfg))
-
-
-def _split(s: str) -> tuple[int, ...]:
-    return tuple(map(int, s.split(";")))
-
-
-_COLUMNS = "t,request,alg_config,adv_config,alg_cost,adv_cost,hamming,state_mask"
+# The trace format is Trace's fields other than `steps`, one `# name=value` header line
+# each, then a column header and one row per step of TraceStep's fields. Each field's
+# annotation (a string, under `from __future__ import annotations`) picks its
+# (encode, decode) pair.
+_CODECS = {
+    "int": (str, int),
+    "str": (str, str),
+    "tuple[int, ...]": (lambda cfg: ";".join(map(str, cfg)),
+                        lambda s: tuple(map(int, s.split(";")))),
+    "MemorylessPolicy": (lambda policy: ";".join(policy.as_strs()),
+                         lambda s: MemorylessPolicy.from_probs(
+                             map(rational_from_str, s.split(";")))),
+}
+_HEADER = {f.name: f for f in fields(Trace) if f.name != "steps"}
+_COLUMNS = ",".join(f.name for f in fields(TraceStep))
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Deterministic CSV with a self-describing comment header; consumes trace.steps."""
-    header = [
-        "# gkserver-trace v1",
-        f"# k={trace.k}",
-        f"# n={_join(trace.n)}",
-        f"# policy={';'.join(trace.policy.as_strs())}",
-        f"# adversary={trace.adversary}",
-        f"# seed={trace.seed}",
-        f"# q0={_join(trace.q0)}",
-        f"# adv0={_join(trace.adv0)}",
-        _COLUMNS,
-    ]
-    text = lru_cache(_CACHE_SIZE)(_join)
+    _, *after_t = fields(TraceStep)
+    values = attrgetter(*(f.name for f in after_t))
+
+    # t is new at every step: the text of the columns after it is built once per distinct row
+    @lru_cache(_CACHE_SIZE)
+    def text(row):
+        return ",".join([_CODECS[f.type][0](v) for f, v in zip(after_t, row)])
+
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(header) + "\n")
-        fh.writelines(
-            f"{s.t},{text(s.request)},{text(s.alg_config)},{text(s.adv_config)},"
-            f"{s.alg_cost},{s.adv_cost},{s.hamming},{s.state_mask}\n"
-            for s in trace.steps
-        )
+        fh.write("# gkserver-trace v1\n")
+        fh.writelines(f"# {name}={_CODECS[f.type][0](getattr(trace, name))}\n"
+                      for name, f in _HEADER.items())
+        fh.write(_COLUMNS + "\n")
+        fh.writelines(f"{s.t},{text(values(s))}\n" for s in trace.steps)
 
 
 def _numbered_lines(path: str):
@@ -612,9 +607,10 @@ def read_trace_csv(path: str) -> Trace:
 
     The header is checked here; the steps are parsed as they are read, so
     a bad step raises then. Malformed includes a `#` line after the column
-    header, a repeated header key, a header n that does not list k metrics
-    and a configuration or request of the wrong width or with a point
-    outside its metric's 0..n_i - 1; the error names the first such step.
+    header, a repeated or unknown header key (a `#` line without `=` is a
+    comment), a header n that does not list k metrics and a configuration
+    or request of the wrong width or with a point outside its metric's
+    0..n_i - 1; the error names the first such step.
     """
     lines = _numbered_lines(path)
     meta: dict[str, str] = {}
@@ -630,44 +626,49 @@ def read_trace_csv(path: str) -> Trace:
             meta[key] = val
         elif line:
             raise ValueError(f"line {lineno}: unexpected column header {line!r}")
-    missing = {"k", "n", "policy", "adversary", "seed", "q0", "adv0"} - meta.keys()
+    missing = _HEADER.keys() - meta.keys()
     if missing:
         raise ValueError(f"trace header missing fields: {sorted(missing)}")
-    policy = MemorylessPolicy.from_probs(list(map(rational_from_str, meta["policy"].split(";"))))
-    k, n, seed = int(meta["k"]), _split(meta["n"]), int(meta["seed"])
-    q0, adv0 = _split(meta["q0"]), _split(meta["adv0"])
-    if k != len(n) or k != len(q0) or k != policy.k:
+    unknown = meta.keys() - _HEADER.keys()
+    if unknown:
+        raise ValueError(f"trace header has unknown fields: {sorted(unknown)}")
+    head = {name: _CODECS[f.type][1](meta[name]) for name, f in _HEADER.items()}
+    if not head["k"] == len(head["n"]) == len(head["q0"]) == head["policy"].k:
         raise ValueError("trace header is inconsistent (k vs n vs q0 vs policy length)")
-    spec = MetricSpec(n=n)
-    _validate_config_point(spec, q0, "q0")
-    _validate_config_point(spec, adv0, "adv0")
-    return Trace(k=k, n=n, policy=policy, adversary=meta["adversary"], seed=seed,
-                 q0=q0, adv0=adv0, steps=_read_steps(lines, spec))
+    spec = MetricSpec(n=head["n"])
+    _validate_config_point(spec, head["q0"], "q0")
+    _validate_config_point(spec, head["adv0"], "adv0")
+    return Trace(**head, steps=_read_steps(lines, spec))
 
 
 def _read_steps(lines, spec: MetricSpec):
     """Yield the steps of the lines after the column header, each checked as it is parsed."""
     step = None
+    _, *after_t = fields(TraceStep)
 
-    def column(name):
-        # each distinct configuration is parsed and checked once per column, while cached
-        return lru_cache(_CACHE_SIZE)(lambda text: _validate_config_point(spec, _split(text), name))
+    def decode(f, text):
+        value = _CODECS[f.type][1](text)
+        # every tuple column is a configuration or request: a point of spec's metrics
+        return _validate_config_point(spec, value, f.name) if type(value) is tuple else value
 
-    request, alg_config, adv_config = map(column, ("request", "alg_config", "adv_config"))
+    # t is new at every step: the columns after it are parsed and checked once per distinct row
+    @lru_cache(_CACHE_SIZE)
+    def row(text):
+        return list(map(decode, after_t, text.split(",")))
+
     for lineno, line in lines:
         if not line:
             continue
         if line.startswith("#"):
             raise ValueError(f"line {lineno}: '#' line after the column header")
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"line {lineno}: expected 8 fields, got {len(parts)}")
+        if line.count(",") != len(after_t):
+            raise ValueError(f"line {lineno}: expected {len(after_t) + 1} fields, "
+                             f"got {line.count(',') + 1}")
+        t, _, rest = line.partition(",")
         try:
-            step = TraceStep(int(parts[0]), request(parts[1]), alg_config(parts[2]),
-                             adv_config(parts[3]), int(parts[4]), int(parts[5]),
-                             int(parts[6]), int(parts[7]))
+            step = TraceStep(int(t), *row(rest))
         except ConfigError as exc:  # a bad configuration: name its step as well as its column
-            raise ConfigError(f"step t={int(parts[0])}: {exc}") from exc
+            raise ConfigError(f"step t={int(t)}: {exc}") from exc
         yield step
     if step is None:
         raise ValueError("trace holds no steps")

@@ -401,6 +401,26 @@ def test_verify_rejects_points_outside_the_metric(tmp_path, capsys):
     assert f"step t={first + 1}: request coordinate" in err and "= 7 outside 0..2" in err
 
 
+@pytest.mark.parametrize("prefix, column, text, message", [
+    ("4,", 2, "0;0", "step t=4: alg_config has 2 coordinates, expected 3"),
+    # the first bad coordinate is named, though a negative one follows it
+    ("4,", 1, "0;5;-1", "step t=4: request coordinate 2 = 5 outside 0..2"),
+    ("# q0=", 0, "# q0=0;3;0", "q0 coordinate 2 = 3 outside 0..2"),
+    ("# adv0=", 0, "# adv0=0;0;-1", "adv0 coordinate 3 = -1 outside 0..2"),
+], ids=["narrow_alg_config", "request_point_then_negative", "q0_point", "adv0_negative"])
+def test_verify_names_the_first_bad_coordinate(tmp_path, capsys, prefix, column, text, message):
+    # column `column` of the line starting with `prefix` becomes `text`
+    trace = _simulated_trace(tmp_path, capsys)
+    lines = trace.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    fields = lines[i].split(",")
+    fields[column] = text
+    lines[i] = ",".join(fields)
+    trace.write_text("\n".join(lines) + "\n")
+    assert run_cli("verify", str(trace)) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: malformed trace: {message}\n"
+
+
 def test_verify_rejects_header_n_of_another_width(tmp_path, capsys):
     trace = _simulated_trace(tmp_path, capsys)
     text = trace.read_text()

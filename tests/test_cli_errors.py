@@ -52,6 +52,7 @@ TRACE_EDITS = {
     "long_t.csv": ("\n1,", f"\n{LONG},"),
     "bad_column.csv": ("t,request,", "step,request,"),
     "latin1.csv": ("# adversary=lower_bound\n", "# adversary=lower_b\xf6und\n"),
+    "unknown_key.csv": ("# seed=", "# sede=5\n# seed="),
 }
 
 
@@ -253,6 +254,10 @@ CASES = {
         ["verify", "{tmp}/empty.csv"], 2,
         "error: malformed trace: trace header missing fields: ['adv0', "
         "'adversary', 'k', 'n', 'policy', 'q0', 'seed']\n",
+        ""),
+    "trace_unknown_header_key": (
+        ["verify", "{tmp}/unknown_key.csv"], 2,
+        "error: malformed trace: trace header has unknown fields: ['sede']\n",
         ""),
     "trace_header_n_too_narrow": (
         ["verify", "{tmp}/narrow_n.csv"], 2,

@@ -150,6 +150,25 @@ def test_lower_bound_adversary_rejects_two_point_metrics():
         lower_bound_adversary_step((0, 0), (0, 0), (0, 0), MetricSpec(n=(3, 2)))
 
 
+N333 = MetricSpec(n=(3, 3, 3))
+
+
+@pytest.mark.parametrize("step, args, error, message", [
+    (lower_bound_adversary_step, ((0, 3, 0), (0, 0, 0), (0, 0, 0), N333), ConfigError,
+     "q_prev coordinate 2 = 3 outside 0..2"),
+    (lower_bound_adversary_step, ((0, 0), (0, 0, 0), (0, 0, 0), N333), ConfigError,
+     "q_prev has 2 coordinates, expected 3"),
+    (lower_bound_adversary_step, ((0, 0, 0), (-1, 0, 0), (0, 0, 0), N333), ConfigError,
+     "adv_prev coordinate 1 = -1 outside 0..2"),
+    (n2_adversary_step, ((0, 1), (0, 1, 0)), ValueError, "configurations must have equal length"),
+    (n2_adversary_step, ((0, 1, 0), (0, 1)), ValueError, "configurations must have equal length"),
+], ids=["lb_point_outside", "lb_narrow", "lb_negative", "n2_shorter_q", "n2_longer_q"])
+def test_adversary_steps_reject_bad_configurations(step, args, error, message):
+    with pytest.raises(error) as exc:
+        step(*args)
+    assert str(exc.value) == message
+
+
 def test_n2_adversary_steps():
     adv, r = n2_adversary_step((0, 0), (0, 0))
     assert adv == (0, 1) and r == (1, 1)
