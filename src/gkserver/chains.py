@@ -11,6 +11,9 @@ Two exact routes to h are provided and kept independent on purpose:
 * eet_oracle: direct rational elimination of the tridiagonal system
   h(l) = 1 + q_l h(l-1) + p_l h(l+1) + (1 - p_l - q_l) h(l).
 
+stationary_and_return_check (Kac's return-time identity) forms the same
+products as the closed form, so it compares against the oracle instead.
+
 Two named chains drive the analysis of memoryless k-server policies on
 uniform metrics: the *harmonic chain* (down 1/k, up (k-i)/k) tracks the
 Hamming distance between the uniform policy and an adversary that always
@@ -213,6 +216,7 @@ def stationary_and_return_check(chain: BirthDeathChain) -> bool:
     extinction time. Its stationary distribution satisfies
     pi_l = (p_0 p_1 ... p_{l-1})/(q_1 ... q_l) * pi_0, and the expected
     return time of state 0 is 1/pi_0, which must equal h(1) + 1 exactly.
+    h(1) comes from eet_oracle_table: the closed form sums these products.
     """
     k = chain.k
     for i in range(1, k):
@@ -224,7 +228,7 @@ def stationary_and_return_check(chain: BirthDeathChain) -> bool:
         num = Fraction(1) if i == 1 else chain.up[i - 2]  # p_{i-1}, with p_0 = 1
         ratio *= num / chain.down[i - 1]
         z += ratio
-    return z == eet_closed_form(chain, 1) + 1
+    return z == eet_oracle_table(chain)[1] + 1
 
 
 def random_chain(k: int, rng, max_denominator: int = 20) -> BirthDeathChain:

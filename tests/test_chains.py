@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkserver import chains
 from gkserver.chains import (
     BirthDeathChain,
     binary_chain,
@@ -154,6 +155,15 @@ def test_stationary_and_return_check():
     for k in (1, 3, 4, 6, 9):
         assert stationary_and_return_check(harmonic_chain(k))
         assert stationary_and_return_check(binary_chain(k))
+
+
+def test_stationary_check_does_not_use_the_closed_form(monkeypatch):
+    # the return-time sum holds the closed form's products, so its h(1) comes from the oracle
+    def closed_form(chain, ell):
+        raise AssertionError("the check must not call eet_closed_form")
+
+    monkeypatch.setattr(chains, "eet_closed_form", closed_form)
+    assert stationary_and_return_check(harmonic_chain(5))
 
 
 def test_stationary_check_rejects_degenerate_interior():

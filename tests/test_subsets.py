@@ -311,6 +311,37 @@ def test_unsettled_lift_raises_at_the_cap(monkeypatch):
         solve_system(SKEWED_5)
 
 
+@pytest.mark.parametrize("weights", [(1, 1, 1), (3, 2, 2)])
+def test_rebuild_waits_for_the_digits_it_needs(weights):
+    """Given one P-adic digit, `_rebuild` asks for the next before it settles an entry.
+
+    `_lift` starts the rebuild only once the probe is stable, which in the
+    other tests leaves enough digits that the numerator wait never runs;
+    feeding the digits one at a time reaches it.
+    """
+    system = build_system(MemorylessPolicy.from_probs([Fraction(c, sum(weights)) for c in weights]))
+    w, rows = system.scaled_rows
+    n = 1 << system.k
+    factors = subsets._eliminate({mask: dict(zip(cols, vals))
+                                  for mask, (cols, vals) in enumerate(rows, 1)}, n, 0, subsets._PRIME)
+    lifted, r = [], [0] + [w] * (n - 1)
+    for _ in range(12):
+        y = subsets._substitute(factors, r)
+        lifted.append(y)
+        r = [v // subsets._PRIME for v in subsets._residual(rows, r, y)]
+    m = subsets._PRIME ** len(lifted)
+    bound = math.isqrt(m >> 1)
+    probe = subsets._reconstruct(subsets._lifted(lifted, n - 1), m, bound, bound)
+    digits = lifted[:1]
+    rebuild = subsets._rebuild(digits, probe)
+    found = next(rebuild)
+    assert found is None  # one digit cannot settle an entry: need >= 2
+    while found is None:
+        digits.append(lifted[len(digits)])
+        found = next(rebuild)
+    assert found == subsets._lift(system.scaled_rows, n)
+
+
 def test_pivot_vanishing_modulo_the_prime_raises():
     with pytest.raises(ArithmeticError, match="zero pivot at mask 0x1 modulo the prime"):
         subsets._eliminate({1: {1: 6}}, 2, 0, 3)
