@@ -189,6 +189,8 @@ def cmd_simulate(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)  # re-runs the config's checks
     if config.emit_trace and not config.trace_path:
         raise ConfigError("emit_trace is set but trace_path is missing from the config")
+    if config.trace_path and not config.emit_trace:
+        raise ConfigError("trace_path is set but emit_trace is not true in the config")
     summary, trace = run(config)
     if trace is not None:
         write_trace_csv(trace, config.trace_path)

@@ -35,16 +35,13 @@ __all__ = [
 
 
 def alpha(ell: int) -> int:
-    """Harmonic recursion a(ell), unrolled iteratively.
+    """Harmonic recursion a(ell): the last entry of alpha_table(ell).
 
     Rejects ell < 1: the recursion has no value at 0.
     """
     if ell < 1:
         raise ValueError(f"alpha is defined for ell >= 1, got {ell}")
-    a = 1
-    for i in range(2, ell + 1):
-        a = 1 + (i - 1) * a
-    return a
+    return alpha_table(ell)[-1]
 
 
 def alpha_closed_form(ell: int) -> int:

@@ -275,6 +275,7 @@ def lower_bound_adversary_step(q_prev, adv_prev, q0, spec: MetricSpec):
     _validate_config_point(spec, q_prev, "q_prev")
     _validate_config_point(spec, adv_prev, "adv_prev")
     if tuple(q_prev) == tuple(adv_prev):
+        _validate_config_point(spec, q0, "q0")
         adv_next = tuple(q0[:k - 1]) + (_free(adv_prev[k - 1], q_prev[k - 1]),)
     else:
         adv_next = tuple(adv_prev)
@@ -294,6 +295,8 @@ def n2_adversary_step(q_prev, adv_prev):
     k = len(q_prev)
     if len(adv_prev) != k:
         raise ValueError("configurations must have equal length")
+    if not k:
+        raise ValueError("configurations need at least one coordinate")
     if not {0, 1}.issuperset(chain(q_prev, adv_prev)):
         raise ConfigError("n2 adversary requires two-point metrics (coordinates 0/1)")
     if tuple(q_prev) == tuple(adv_prev):

@@ -290,21 +290,17 @@ class SubsetSolution:
 class _Factors(NamedTuple):
     """LU factors of a subset system, pivoted in decreasing mask order.
 
-    Pivot x keeps diag[x], its U row (ucol[i], uval[i]) for i in
-    range(ubound[x + 1], ubound[x]) over masks below x, and its L updates
-    (lrow[i], lval[i]) for i in range(lbound[x + 1], lbound[x]). Float
-    factors live in flat arrays; Fraction and residue factors in lists.
-    With a nonzero modulus the entries are residues and diag[x] holds the
-    inverse of the pivot, so substitution multiplies by it.
+    Pivot x keeps diag[x], its U row upper[x] = (columns, values) over
+    masks below x, and its L column lower[x] = (rows, factors) over the
+    rows below x. Indices are typed arrays, and so are float values;
+    residue and Fraction values are lists. With a nonzero modulus the
+    entries are residues and diag[x] holds the inverse of the pivot, so
+    substitution multiplies by it.
     """
 
     diag: Sequence
-    ucol: array
-    uval: Sequence
-    ubound: array
-    lrow: array
-    lval: Sequence
-    lbound: array
+    upper: list[tuple[array, Sequence]]
+    lower: list[tuple[array, Sequence]]
     modulus: int
 
 
@@ -325,9 +321,7 @@ def _eliminate(rows: dict, n: int, zero, modulus: int = 0) -> _Factors:
     """
     values = partial(array, "d") if isinstance(zero, float) else list
     diag = values([zero]) * n
-    ucol, lrow = array("l"), array("l")
-    uval, lval = values([]), values([])
-    ubound, lbound = array("l", [0]) * (n + 1), array("l", [0]) * (n + 1)
+    upper, lower = [((), ())] * n, [((), ())] * n
     occ: dict[int, set[int]] = {x: set() for x in range(1, n)}
     for rid, coeffs in rows.items():
         for c in coeffs:
@@ -346,9 +340,8 @@ def _eliminate(rows: dict, n: int, zero, modulus: int = 0) -> _Factors:
         else:
             diag[x] = d
             expr = {c: v / d for c, v in coeffs.items()}
-        ucol.extend(expr)
-        uval.extend(expr.values())
-        ubound[x] = len(ucol)
+        upper[x] = array("l", expr), values(expr.values())
+        lrow, lval = lower[x] = array("l"), values()
         for rid in occ.pop(x):
             if rid >= x:
                 continue
@@ -361,28 +354,25 @@ def _eliminate(rows: dict, n: int, zero, modulus: int = 0) -> _Factors:
             for c, v in expr.items():
                 rc[c] = rc.get(c, zero) - f * v
                 occ[c].add(rid)
-        lbound[x] = len(lrow)
-    return _Factors(diag, ucol, uval, ubound, lrow, lval, lbound, modulus)
+    return _Factors(diag, upper, lower, modulus)
 
 
 def _substitute(factors: _Factors, rhs) -> list:
     """Solve A h = rhs from the factors; rhs[0] is returned as h[0].
 
-    Replays the L updates in pivot order, which is their storage order,
-    then back-substitutes through U in increasing mask order; every U row
-    reads only lower masks. Residue factors return residues.
+    Applies the L columns in pivot order, then back-substitutes through U
+    in increasing mask order. Residue factors return residues.
     """
-    diag, ucol, uval, ubound, lrow, lval, lbound, modulus = factors
+    diag, upper, lower, modulus = factors
     h = list(rhs)
-    updates = zip(lrow, lval)
     for x in range(len(diag) - 1, 0, -1):
         hx = h[x] = h[x] * diag[x] % modulus if modulus else h[x] / diag[x]
-        for rid, f in islice(updates, lbound[x] - lbound[x + 1]):
+        for rid, f in zip(*lower[x]):
             h[rid] -= f * hx
     for x in range(1, len(diag)):
         val = h[x]
-        for i in range(ubound[x + 1], ubound[x]):
-            val -= uval[i] * h[ucol[i]]
+        for c, v in zip(*upper[x]):
+            val -= v * h[c]
         h[x] = val % modulus if modulus else val
     return h
 

@@ -78,6 +78,8 @@ def _inputs(tmp):
         (tmp / name).write_text(json.dumps(d))
     for name, data in RAW.items():
         (tmp / name).write_bytes(data)
+    (tmp / "path_without_emit.json").write_text(
+        json.dumps({**CONFIG, "trace_path": str(tmp / "unwanted.csv")}))
     for name, policy, phases in (("uniform", ["1/2", "1/2"], 2), ("skewed", ["2/3", "1/3"], 2),
                                  ("long", ["1/2", "1/2"], 20)):
         cfg = {**CONFIG, "policy": policy, "phases": phases, "emit_trace": True,
@@ -230,6 +232,10 @@ CASES = {
         ["simulate", "{tmp}/no_trace_path.json"], 2,
         "error: emit_trace is set but trace_path is missing from the config\n",
         ""),
+    "config_trace_path_without_emit_trace": (
+        ["simulate", "{tmp}/path_without_emit.json"], 2,
+        "error: trace_path is set but emit_trace is not true in the config\n",
+        ""),
     "config_denominator_beyond_int64": (
         ["simulate", "{tmp}/huge_den.json"], 2,
         "error: the policy's common denominator 18446744073709551557 is not "
@@ -343,3 +349,8 @@ def test_cli_error_golden(argv, code, stderr, stdout_sha256, tmp_path):
     if code == 2 and "--out" in argv:  # a rejected input leaves no report behind
         assert not (tmp_path / "report.json").exists()
     assert (hashlib.sha256(out.encode()).hexdigest() if out else "") == stdout_sha256
+
+
+def test_trace_path_without_emit_trace_writes_no_trace(tmp_path):
+    assert run_case(["simulate", "{tmp}/path_without_emit.json"], tmp_path)[0] == 2
+    assert not (tmp_path / "unwanted.csv").exists()

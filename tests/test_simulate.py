@@ -162,7 +162,13 @@ N333 = MetricSpec(n=(3, 3, 3))
      "adv_prev coordinate 1 = -1 outside 0..2"),
     (n2_adversary_step, ((0, 1), (0, 1, 0)), ValueError, "configurations must have equal length"),
     (n2_adversary_step, ((0, 1, 0), (0, 1)), ValueError, "configurations must have equal length"),
-], ids=["lb_point_outside", "lb_narrow", "lb_negative", "n2_shorter_q", "n2_longer_q"])
+    (lower_bound_adversary_step, ((0, 0, 0), (0, 0, 0), (5, 5, 0), N333), ConfigError,
+     "q0 coordinate 1 = 5 outside 0..2"),
+    (lower_bound_adversary_step, ((0, 0, 0), (0, 0, 0), (0,), N333), ConfigError,
+     "q0 has 1 coordinates, expected 3"),
+    (n2_adversary_step, ((), ()), ValueError, "configurations need at least one coordinate"),
+], ids=["lb_point_outside", "lb_narrow", "lb_negative", "n2_shorter_q", "n2_longer_q",
+        "lb_q0_outside", "lb_q0_narrow", "n2_empty"])
 def test_adversary_steps_reject_bad_configurations(step, args, error, message):
     with pytest.raises(error) as exc:
         step(*args)

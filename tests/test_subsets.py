@@ -347,6 +347,20 @@ def test_pivot_vanishing_modulo_the_prime_raises():
         subsets._eliminate({1: {1: 6}}, 2, 0, 3)
 
 
+@pytest.mark.parametrize("k, u_entries, l_entries", [(8, 448, 2808), (10, 2304, 16630)])
+def test_factor_fill_in(k, u_entries, l_entries):
+    """Decreasing mask order keeps fill-in small, and the same for every policy:
+    residue and float factors hold the same count of U and L entries."""
+    for policy in (MemorylessPolicy.uniform(k), random_policy(k, random.Random(k))):
+        w, rows = build_system(policy).scaled_rows
+        for scale, zero, modulus in ((lambda a: a, 0, subsets._PRIME), (lambda a: a / w, 0.0, 0)):
+            factors = subsets._eliminate({mask: {c: scale(a) for c, a in zip(cols, vals)}
+                                          for mask, (cols, vals) in enumerate(rows, 1)},
+                                         1 << k, zero, modulus)
+            assert sum(len(cols) for cols, _ in factors.upper) == u_entries
+            assert sum(len(rids) for rids, _ in factors.lower) == l_entries
+
+
 def _fraction_monotonicity(sol):
     """check_monotonicity in Fraction arithmetic: the reference formula."""
     p, k, slack = sol.policy.probs, sol.k, sol.check_slack
