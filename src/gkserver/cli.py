@@ -36,6 +36,8 @@ from .simulate import (
     ExperimentConfig,
     MetricSpec,
     StepBudgetExhausted,
+    _replay,
+    _summarize,
     estimate_ratio,
     raise_if_exhausted,
     read_trace_csv,
@@ -183,6 +185,14 @@ def cmd_system(args) -> int:
     return EXIT_OK
 
 
+def _keeping_last(steps, last: list):
+    """Yield steps; once they run out, append the last one to `last`."""
+    step = None
+    for step in steps:
+        yield step
+    last.append(step)
+
+
 def cmd_simulate(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
     if args.seed is not None:
@@ -191,9 +201,16 @@ def cmd_simulate(args) -> int:
         raise ConfigError("emit_trace is set but trace_path is missing from the config")
     if config.trace_path and not config.emit_trace:
         raise ConfigError("trace_path is set but emit_trace is not true in the config")
-    summary, trace = run(config)
-    if trace is not None:
-        write_trace_csv(trace, config.trace_path)
+    if config.emit_trace:
+        # one walk: it feeds the trace and records the phase lengths the summary needs
+        lengths: list[int] = []
+        last: list = []
+        trace = _replay(config, lengths)
+        write_trace_csv(dataclasses.replace(trace, steps=_keeping_last(trace.steps, last)),
+                        config.trace_path)
+        summary = _summarize(config, lengths, last[0].t)
+    else:
+        summary, _ = run(config)
     out_path = args.out or config.summary_path
     _emit_json(summary.to_dict(), out_path)
     raise_if_exhausted(config, summary)

@@ -19,13 +19,14 @@ as an exact rational inequality on every finished trace.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from operator import eq, ne
+from functools import lru_cache
+from operator import attrgetter, eq, ne
 
 from .chains import harmonic_eet
 from .harmonic import alpha_table, rational_to_str
-from .simulate import diff_mask
+from .simulate import _CACHE_SIZE, TraceStep, diff_mask
 from .subsets import MemorylessPolicy
 
 __all__ = [
@@ -155,6 +156,16 @@ def _scaled_drops(ctx: PotentialContext) -> list[list[int]]:
             for d in range(k + 1)]
 
 
+# a step's columns after `t`, in TraceStep's order
+_AFTER_T = attrgetter(*(f.name for f in fields(TraceStep)[1:]))
+
+
+def _stamped(t: int, records) -> list[dict]:
+    """Fresh report records of step t from cached t-free ones; a tuple value becomes a list."""
+    return [{"t": t, **{key: list(v) if type(v) is tuple else v for key, v in record.items()}}
+            for record in records]
+
+
 def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     """Audit a uniform-policy trace step by step, in one pass over trace.steps.
 
@@ -173,8 +184,11 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     hard violation and adds no drift. Finally the telescoped bound is
     checked exactly. Every expected drop is an integer over k, so the
     audit keeps k times each expected quantity as an integer and builds
-    the report's fractions once at the end. A trace whose steps yield
-    nothing, such as an already consumed stream, raises ValueError.
+    the report's fractions once at the end. Every check but the `t` check
+    runs once per distinct (previous configurations, row) pair, in a cache of
+    simulate._CACHE_SIZE pairs; its records get their step's `t` as they
+    are reported. A trace whose steps yield nothing, such as an already
+    consumed stream, raises ValueError.
     """
     policy = trace.policy
     if not policy.is_uniform:
@@ -191,7 +205,6 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     phi_start = potential(trace.q0, trace.adv0, ctx)
     q_prev = trace.q0
     adv_prev = trace.adv0
-    d_prev = hamming(q_prev, adv_prev)
     t_prev = 0
     bits = tuple(1 << i for i in range(k))
     full = (1 << k) - 1
@@ -201,52 +214,61 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     violations: list[dict] = []
     alg_cost = adv_cost = steps = 0
 
-    for steps, s in enumerate(trace.steps, 1):
-        q, adv, r = s.alg_config, s.adv_config, s.request
-        # the Hamming moves of the step, each computed once
+    # the checks of one (previous configurations, row) pair: the t-free records found
+    # before the `t` check and after it, the scaled expected and the realized drop (None
+    # when the premises fail), and the new distance
+    @lru_cache(_CACHE_SIZE)
+    def audit(q_prev, adv_prev, r, q, adv, alg_paid, adv_paid, d_declared, mask_declared):
+        d_prev = sum(map(ne, q_prev, adv_prev))
         d_mid = sum(map(ne, q_prev, adv))
         state = diff_mask(q, adv, bits)
         d_new = state.bit_count()
         moved = diff_mask(q_prev, q, bits)
         unserved = diff_mask(q, r, bits)
         jump = h[d_mid] - h[d_prev]
-        if jump > bound * s.adv_cost:
-            violations.append({
-                "t": s.t,
-                "kind": "adversary_potential_jump",
-                "jump": jump,
-                "allowed": bound * s.adv_cost,
-            })
-        for kind, declared, actual in (
-            ("time_not_consecutive", s.t, t_prev + 1),
-            ("alg_cost_mismatch", s.alg_cost, moved.bit_count()),
-            ("adv_cost_mismatch", s.adv_cost, sum(map(ne, adv_prev, adv))),
-            ("hamming_mismatch", s.hamming, d_new),
-            ("state_mask_mismatch", s.state_mask, state),
-        ):
-            if declared != actual:
-                violations.append({"t": s.t, "kind": kind, "declared": declared, "actual": actual})
+        before = ({"kind": "adversary_potential_jump", "jump": jump,
+                   "allowed": bound * adv_paid},) if jump > bound * adv_paid else ()
+        after = [{"kind": kind, "declared": declared, "actual": actual}
+                 for kind, declared, actual in (
+                     ("alg_cost_mismatch", alg_paid, moved.bit_count()),
+                     ("adv_cost_mismatch", adv_paid, sum(map(ne, adv_prev, adv))),
+                     ("hamming_mismatch", d_declared, d_new),
+                     ("state_mask_mismatch", mask_declared, state),
+                 ) if declared != actual]
         if unserved == full:
-            violations.append({"t": s.t, "kind": "request_not_served"})
+            after.append({"kind": "request_not_served"})
         if stray := moved & unserved:
-            violations.append({"t": s.t, "kind": "move_not_to_request",
-                               "coordinates": [i for i in range(k) if stray >> i & 1]})
+            after.append({"kind": "move_not_to_request",
+                          "coordinates": tuple(i for i in range(k) if stray >> i & 1)})
         # the expected drop's premises: the move is forced, the adversary serves r
         forced = not any(map(eq, q_prev, r))
         if not forced:
-            violations.append({"t": s.t, "kind": "request_already_served"})
+            after.append({"kind": "request_already_served"})
         served = sum(map(eq, adv, r))
         if not served:
-            violations.append({"t": s.t, "kind": "request_not_served_by_adversary"})
-        elif forced:
-            exp_drop = drops[d_mid][served]
+            after.append({"kind": "request_not_served_by_adversary"})
+        drop = (drops[d_mid][served], h[d_mid] - h[d_new]) if served and forced else None
+        return before, tuple(after), drop, d_new
+
+    for steps, s in enumerate(trace.steps, 1):
+        before, after, drop, d_prev = audit(q_prev, adv_prev, *_AFTER_T(s))
+        t = s.t
+        if before:
+            violations += _stamped(t, before)
+        if t != t_prev + 1:
+            violations.append({"t": t, "kind": "time_not_consecutive",
+                               "declared": t, "actual": t_prev + 1})
+        if after:
+            violations += _stamped(t, after)
+        if drop:
+            exp_drop, realized = drop
             expected_total += exp_drop
-            realized_total += h[d_mid] - h[d_new]
+            realized_total += realized
             if min_drift is None or exp_drop < min_drift:
                 min_drift = exp_drop
         alg_cost += s.alg_cost
         adv_cost += s.adv_cost
-        q_prev, adv_prev, d_prev, t_prev = q, adv, d_new, s.t
+        q_prev, adv_prev, t_prev = s.alg_config, s.adv_config, t
     if not steps:
         raise ValueError("trace holds no steps")
 

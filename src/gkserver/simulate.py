@@ -71,8 +71,9 @@ __all__ = [
 
 ADVERSARY_KINDS = ("lower_bound", "n2")
 DEFAULT_MAX_STEPS = 10**9
-# entries in each cache of a traced run's distinct configurations and moves: a run of
-# 200 k steps at k <= 8 has fewer distinct moves, while at k = 64 nearly every step is new
+# entries in each cache of a trace's distinct configurations, moves, rows and audited
+# step pairs: a run of 200 k steps at k <= 8 has fewer distinct moves, while at k = 64
+# nearly every step is new
 _CACHE_SIZE = 2**14
 
 
@@ -463,8 +464,11 @@ def _walk(config: ExperimentConfig, lengths: list[int]):
         lengths.append(steps - begin)
 
 
-def _replay(config: ExperimentConfig) -> Trace:
+def _replay(config: ExperimentConfig, lengths: list[int]) -> Trace:
     """A run's trace, whose steps come from a fresh walk over the run's seeds.
+
+    The walk appends each finished phase's length to `lengths` as the
+    steps are read.
 
     The adversary's update and request come from its public step
     function, called once per distinct (policy, adversary) configuration
@@ -491,12 +495,30 @@ def _replay(config: ExperimentConfig) -> Trace:
 
     def steps():
         q = adv = q0
-        for t, b in enumerate(chain.from_iterable(_walk(config, [])), 1):
+        for t, b in enumerate(chain.from_iterable(_walk(config, lengths)), 1):
             r, q, adv, adv_cost, hamming, mask = move(q, adv, b)
             yield TraceStep(t, r, q, adv, 1, adv_cost, hamming, mask)
 
     return Trace(k=spec.k, n=spec.n, policy=config.policy, adversary=config.adversary,
                  seed=config.seed, q0=q0, adv0=q0, steps=steps())
+
+
+def _summarize(config: ExperimentConfig, lengths: list[int], steps: int) -> RunSummary:
+    """The summary of a walk of `steps` steps whose finished phases had these lengths."""
+    phases = len(lengths)
+    alg_cost = sum(lengths)
+    mean_len, max_len, se, ratio = 0.0, 0, 0.0, None
+    if phases:
+        mean_len, max_len, ratio = alg_cost / phases, max(lengths), Fraction(alg_cost, phases)
+    if phases > 1:
+        se = sqrt(sum((x - mean_len) ** 2 for x in lengths) / (phases - 1) / phases)
+    return RunSummary(
+        alg_cost=alg_cost, adv_cost=phases, ratio=ratio, phases=phases,
+        mean_phase_length=mean_len, max_phase_length=max_len, phase_length_se=se,
+        steps=steps, seed=config.seed, policy=tuple(config.policy.as_strs()),
+        adversary=config.adversary, k=config.spec.k, n=config.spec.n,
+        exhausted=phases < config.phases,
+    )
 
 
 def run(config: ExperimentConfig):
@@ -507,21 +529,7 @@ def run(config: ExperimentConfig):
     """
     lengths: list[int] = []
     steps = sum(map(len, _walk(config, lengths)))
-    phases = len(lengths)
-    alg_cost = sum(lengths)
-    mean_len, max_len, se, ratio = 0.0, 0, 0.0, None
-    if phases:
-        mean_len, max_len, ratio = alg_cost / phases, max(lengths), Fraction(alg_cost, phases)
-    if phases > 1:
-        se = sqrt(sum((x - mean_len) ** 2 for x in lengths) / (phases - 1) / phases)
-    summary = RunSummary(
-        alg_cost=alg_cost, adv_cost=phases, ratio=ratio, phases=phases,
-        mean_phase_length=mean_len, max_phase_length=max_len, phase_length_se=se,
-        steps=steps, seed=config.seed, policy=tuple(config.policy.as_strs()),
-        adversary=config.adversary, k=config.spec.k, n=config.spec.n,
-        exhausted=phases < config.phases,
-    )
-    return summary, _replay(config) if config.emit_trace else None
+    return _summarize(config, lengths, steps), _replay(config, []) if config.emit_trace else None
 
 
 def raise_if_exhausted(config: ExperimentConfig, summary: RunSummary) -> None:

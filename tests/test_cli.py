@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkserver import subsets
+from gkserver import simulate, subsets
 from gkserver.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_BUDGET,
@@ -263,6 +263,33 @@ def test_simulate_verify_round_trip(tmp_path, capsys):
     assert run_cli("verify", str(trace)) == EXIT_OK
     d = json.loads(capsys.readouterr().out)
     assert d["ok"] and not d["hard_violations"]
+
+
+@pytest.mark.parametrize("overrides, code", [
+    ({}, EXIT_OK),
+    ({"k": 3, "n": [3] * 3, "policy": ["1/3"] * 3, "phases": 10**6, "max_steps": 1000},
+     EXIT_BUDGET),
+])
+def test_traced_simulate_walks_its_seeds_once(overrides, code, tmp_path, capsys, monkeypatch):
+    # the walk that feeds the trace also records the phase lengths of the summary,
+    # which matches run()'s byte for byte, also for a walk the step budget cut mid-phase
+    trace = tmp_path / "t.csv"
+    path = _write_config(tmp_path, emit_trace=True, trace_path=str(trace), **overrides)
+    walks = []
+    walk = simulate._walk
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(simulate, "_walk", counted)
+    assert run_cli("simulate", str(path)) == code
+    assert len(walks) == 1
+    summary, _ = simulate.run(simulate.ExperimentConfig.from_json_file(str(path)))
+    assert capsys.readouterr().out == json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert trace.read_text().splitlines()[-1].startswith(f"{summary.steps},")
+    if code == EXIT_BUDGET:
+        assert summary.steps == 1000 > summary.alg_cost  # the last phase is cut, not finished
 
 
 def test_verify_flags_corrupted_trace(tmp_path, capsys):

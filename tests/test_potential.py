@@ -432,3 +432,63 @@ def test_scaled_expected_drop_equals_expected_drift(k, adversary, seed, edits):
             scaled = drops[hamming(q_prev, s.adv_config)][served]
             assert scaled == k * expected_drift(q_prev, s.adv_config, s.request, trace.policy, ctx)
         q_prev = s.alg_config
+
+
+def _repeated_pair(trace, keep=lambda s: True):
+    """Indices i < j of two kept steps with the same previous configurations and the same
+    columns after t, and those previous policy and adversary configurations."""
+    first = {}
+    prev = (trace.q0, trace.adv0)
+    for index, s in enumerate(trace.steps):
+        key = prev + dataclasses.astuple(s)[1:]
+        if keep(s):
+            if key in first:
+                return first[key], index, prev
+            first[key] = index
+        prev = (s.alg_config, s.adv_config)
+    raise AssertionError("no repeated pair")
+
+
+def test_repeated_step_pairs_report_their_own_t():
+    trace = _uniform_trace(3, 50, seed=21)
+    trace.steps = list(trace.steps)  # a one-pass stream: keep it to index and re-read
+    i, j, _ = _repeated_pair(trace)
+    for index in (i, j):
+        trace.steps[index] = dataclasses.replace(trace.steps[index], alg_cost=0)
+    assert verify_trace(trace).hard_violations == [
+        {"t": trace.steps[index].t, "kind": "alg_cost_mismatch", "declared": 0, "actual": 1}
+        for index in (i, j)]
+
+
+def test_time_gap_on_a_repeated_pair_keeps_its_place_among_the_records():
+    # two steps of one pair where the adversary moves, each declaring it free: the
+    # potential jump is over the bound; the second step also skips a t
+    trace = _uniform_trace(3, 50, seed=21)
+    trace.steps = list(trace.steps)  # a one-pass stream: keep it to index and re-read
+    i, j, (q_prev, adv_prev) = _repeated_pair(trace, keep=lambda s: s.adv_cost == 1)
+    h = PotentialContext.for_k(3).h
+    jump = h[hamming(q_prev, trace.steps[i].adv_config)] - h[hamming(q_prev, adv_prev)]
+    t_i, t_j = trace.steps[i].t, trace.steps[j].t
+    trace.steps[i] = dataclasses.replace(trace.steps[i], adv_cost=0)
+    trace.steps[j] = dataclasses.replace(trace.steps[j], adv_cost=0, t=t_j + 2)
+    assert verify_trace(trace).hard_violations == [
+        {"t": t_i, "kind": "adversary_potential_jump", "jump": jump, "allowed": 0},
+        {"t": t_i, "kind": "adv_cost_mismatch", "declared": 0, "actual": 1},
+        {"t": t_j + 2, "kind": "adversary_potential_jump", "jump": jump, "allowed": 0},
+        {"t": t_j + 2, "kind": "time_not_consecutive", "declared": t_j + 2, "actual": t_j},
+        {"t": t_j + 2, "kind": "adv_cost_mismatch", "declared": 0, "actual": 1},
+        {"t": t_j + 1, "kind": "time_not_consecutive", "declared": t_j + 1, "actual": t_j + 3},
+    ]
+
+
+def test_blank_lines_between_steps_leave_the_report_unchanged(tmp_path):
+    trace = _uniform_trace(3, 20, seed=5)
+    clean = tmp_path / "clean.csv"
+    write_trace_csv(trace, str(clean))
+    lines = clean.read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith("t,")) + 1
+    spaced = tmp_path / "spaced.csv"  # a blank line before each step and after the last
+    spaced.write_text("".join(lines[:first]) + "".join("\n" + line for line in lines[first:])
+                      + "\n")
+    assert (verify_trace(read_trace_csv(str(spaced))).to_dict()
+            == verify_trace(read_trace_csv(str(clean))).to_dict())

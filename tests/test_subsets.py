@@ -475,3 +475,14 @@ def test_solve_and_checks_build_no_fraction_per_subset(monkeypatch):
     competitive_gap(policy, sol)
     assert not check_monotonicity(sol) and not check_subset_alpha_bound(sol)
     assert 0 < len(made) <= k
+
+
+def test_h_view_compares_only_to_sequences_of_values_and_prints_as_a_tuple():
+    sol = solve_system(MemorylessPolicy.from_probs([Fraction(2, 3), Fraction(1, 3)]))
+    # __eq__ returns NotImplemented for anything but a tuple or a view: Python falls back
+    # to identity, so an int or a list of the same values is unequal
+    assert sol.h.__eq__(5) is NotImplemented
+    assert not sol.h == 5 and sol.h != 5
+    assert sol.h != list(sol.h)
+    assert repr(sol.h) == repr(tuple(sol.h)) == ("(Fraction(0, 1), Fraction(7, 2), "
+                                                  "Fraction(6, 1), Fraction(15, 2))")
