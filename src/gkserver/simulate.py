@@ -22,24 +22,27 @@ next. Phases are i.i.d. (memorylessness), so the mean phase length
 estimates the competitive ratio; the subset-state analysis gives its
 exact value h({k}).
 
-Reproducibility: one master seed; phase i draws 256 integers at a time
-from the PCG64 stream of SeedSequence((seed, i)), so phases can be
-replayed or distributed without changing any sample. run() seeds 1024
-phases at once; PolicySampler seeds one stream through numpy itself.
+Reproducibility: one master seed; phase i draws the integers that
+numpy's Generator.integers draws from the PCG64 stream of
+SeedSequence((seed, i)), so phases can be replayed or distributed
+without changing any sample. run() seeds 1024 phases at once and draws
+their streams side by side in numpy arrays; PolicySampler seeds one
+stream through numpy itself.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, compress, count, permutations, product
+from functools import cache, lru_cache
+from itertools import accumulate, chain, compress, count, permutations, product
 from math import sqrt
-from operator import attrgetter, lt, ne
+from operator import attrgetter, length_hint, lt, ne
 
 import numpy as np
 
@@ -374,8 +377,13 @@ def diff_mask(a, b, bits) -> int:
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
-_BLOCK, _CHUNK = 1024, 256  # phases seeded at once, integers drawn per call
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
+_BLOCK, _CHUNK = 1024, 256  # phases seeded at once, integers PolicySampler draws per call
+# PCG64 outputs a lane draws in a block's first round, and at most in one round; outputs
+# of all lanes in one round, and in one _draws call (arrays of 64 KiB); steps a lane may
+# walk while a phase before it is still running
+_ROUND_MIN, _ROUND_MAX, _ROUND_OUTPUTS, _GRID, _LEAD = 8, 2**11, 2**15, 2**13, 2**12
+_TABLE_MAX = 2**16  # largest denominator whose draws find their metric in a table
 
 
 def _words(n: int) -> list[int]:
@@ -383,12 +391,33 @@ def _words(n: int) -> list[int]:
     return [n >> shift & _M32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _phase_streams(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of SeedSequence((seed, i)) for start <= i < stop.
+def _mulhi(a, b):
+    """The high 64 bits of the 128-bit products a * b of uint64 arrays, from 32-bit halves."""
+    a1, a0, b1, b0 = a >> 32, a & _M32, b >> 32, b & _M32
+    t = a1 * b0 + (a0 * b0 >> 32)
+    return a1 * b1 + (t >> 32) + (a0 * b1 + (t & _M32) >> 32)
+
+
+def _mul128(a, b):
+    """a * b mod 2^128 for limb pairs (hi, lo) of uint64 arrays; array products wrap."""
+    (ah, al), (bh, bl) = a, b
+    return _mulhi(al, bl) + ah * bl + al * bh, al * bl
+
+
+def _add128(a, b):
+    """a + b mod 2^128 for limb pairs (hi, lo) of uint64 arrays."""
+    (ah, al), (bh, bl) = a, b
+    lo = al + bl
+    return ah + bh + (lo < al), lo
+
+
+def _phase_lanes(seed: int, start: int, stop: int):
+    """PCG64 of SeedSequence((seed, i)) for start <= i < stop, one row (state hi, state lo,
+    inc hi, inc lo) of uint64 limbs a phase.
 
     Within one 1024-phase block only the low word of i varies, so the
-    pool mix and generate_state(4, uint64) run as uint32 vector ops over
-    the block; PCG64's set-seed rule then maps each phase's four words.
+    pool mix, generate_state(4, uint64) and PCG64's set-seed rule run as
+    vector ops over the block.
     """
     if not 0 <= start < stop or start // _BLOCK != (stop - 1) // _BLOCK:
         raise ValueError(f"phases {start}..{stop - 1} do not lie in one {_BLOCK}-phase block")
@@ -418,50 +447,144 @@ def _phase_streams(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
         pool[dst] = mix(pool[dst], hashmix(v))
     hashmix = hasher(_INIT_B, _MULT_B)
     words = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
-    streams = []
-    for a, b, c, d in words.astype("<u4").view("<u8").tolist():
-        inc = ((c << 64 | d) << 1 | 1) & _M128
-        streams.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, inc))
-    return streams
+    a, b, c, d = words.astype("<u4").view("<u8").T
+    # the set-seed rule: inc = 2 (c, d) + 1 and state = (inc + (a, b)) * mult + inc
+    inc = c << 1 | d >> 63, d << 1 | 1
+    state = _add128(_mul128(_add128(inc, (a, b)), (_PCG_MULT >> 64, _PCG_MULT & _M64)), inc)
+    return np.stack((*state, *inc), axis=1)
+
+
+def _phase_streams(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """The (state, inc) integers, as numpy's PCG64 state holds them, of _phase_lanes."""
+    return [(sh << 64 | sl, ih << 64 | il)
+            for sh, sl, ih, il in _phase_lanes(seed, start, stop).tolist()]
+
+
+@cache
+def _jump_tables():
+    """PCG64 advanced t steps from (state s, increment inc) is A_t * s + G_t * inc mod 2^128,
+    with A_t = mult^t and G_t = 1 + mult + ... + mult^(t-1): (A, G) as (hi, lo) rows of
+    uint64 limbs over t = 1.._ROUND_MAX, doubled by A_{T+u} = A_u * A_T and
+    G_{T+u} = A_u * G_T + G_u."""
+    steps = np.array([[_PCG_MULT >> 64], [_PCG_MULT & _M64]], np.uint64)
+    incs = np.array([[0], [1]], np.uint64)
+    while steps.shape[1] < _ROUND_MAX:
+        a_t, g_t = tuple(map(int, steps[:, -1])), tuple(map(int, incs[:, -1]))
+        incs = np.concatenate((incs, _add128(_mul128(steps, g_t), incs)), axis=1)
+        steps = np.concatenate((steps, _mul128(steps, a_t)), axis=1)
+    return steps, incs
+
+
+def _draws(den: int, lanes, width: int):
+    """Each lane's next draws below den as numpy's Generator.integers(0, den) makes them:
+    (the accepted draws, lane by lane, and how many each lane got).
+
+    `lanes` holds one row (state hi, state lo, inc hi, inc lo) per lane, whose state
+    advances `width` PCG64 steps in place. Below 2^32 numpy applies Lemire's method to
+    the 32-bit halves of each output, low half first; from 2^32 on, to whole outputs;
+    both reject a product whose low word falls below 2^32 (2^64) mod den. numpy draws
+    den = 1 and 2^32 without the method, but its draws are the same: 0, and the half.
+    """
+    steps, incs = (table[:, :width] for table in _jump_tables())
+    sh, sl, ih, il = (lanes[:, c, None] for c in range(4))
+    hi, lo = _add128(_mul128(steps, (sh, sl)), _mul128(incs, (ih, il)))
+    lanes[:, 0], lanes[:, 1] = hi[:, -1], lo[:, -1]
+    # PCG64's XSL-RR output: the xor of the two halves, rotated right by the top 6 bits
+    x, rot = hi ^ lo, hi >> 58
+    out = x >> rot | x << (64 - rot & 63)
+    if den <= 1 << 32:
+        product = out.astype("<u8", copy=False).view("<u4").astype(np.uint64) * den
+        low, draws, bound = product & _M32, product >> 32, (1 << 32) % den
+    else:
+        low, draws, bound = out * den, _mulhi(out, den), (1 << 64) % den
+    if not bound:
+        return draws.ravel(), np.full(len(lanes), draws.shape[1])
+    accepted = low >= bound
+    return draws[accepted], accepted.sum(1)
 
 
 def _walk(config: ExperimentConfig, lengths: list[int]):
-    """Walk the mask S of differing metrics; yield the metric bits each chunk drew and used.
+    """Walk the mask S of differing metrics; yield arrays of the metric indices drawn and
+    used, in phase order.
 
     Both adversaries force a policy move every step and move one server
     per phase, so a run is a walk on S: a phase starts at S = {k}, the
     drawn metric leaves S if it is min S and joins S otherwise
     (lower_bound) or always flips (n2), and the phase ends at S = {}.
-    Each phase loads its (seed, i) stream into one reused PCG64; a finished
-    phase appends its length to `lengths`. config.max_steps cuts the walk.
+    The phases of a 1024-phase block are lanes walked in lockstep rounds.
+    A round draws every walking lane's next outputs (_draws, _GRID outputs
+    a call at most), then walks each lane's draws with the mask rule in
+    Python. A lane's outputs a round double from _ROUND_MIN to _ROUND_MAX,
+    and a round takes at most _ROUND_OUTPUTS over all its lanes. A lane's
+    steps are yielded once every phase before it has ended; until then the
+    lane holds them, and it pauses after _LEAD steps or after its share of
+    the steps left among the block's lanes, whichever is fewer.
+    config.max_steps cuts the walk in phase order: a lane stops once the
+    lanes up to it have walked the steps left. A finished phase appends its
+    length to `lengths`.
     """
     k = config.spec.k
     den, thresholds = exact_thresholds(config.policy.probs)
-    cuts = np.array(thresholds)
+    index = np.min_scalar_type(k - 1)  # held steps are metric indices of `size` bytes
+    size = index.itemsize
+    if den <= _TABLE_MAX:  # a draw's metric, looked up
+        metric = np.repeat(np.arange(k, dtype=index), np.diff(thresholds, prepend=0)).take
+    else:  # uint64 cuts beside uint64 draws: int64 would make searchsorted compare in float64
+        cuts = np.array(thresholds, dtype=np.uint64)
+        metric = lambda drawn: cuts.searchsorted(drawn, "right").astype(index)
     # a bit beyond the 63rd does not fit int64
     bits = np.array([1 << j for j in range(k)], dtype=np.int64 if k < 64 else object)
     flip = config.adversary == "n2"
-    gen = np.random.Generator(np.random.PCG64(0))
-    streams = (stream for first in range(0, config.phases, _BLOCK)
-               for stream in _phase_streams(config.seed, first,
-                                            min(first + _BLOCK, config.phases)))
-    steps = 0
-    for state, inc in streams:
-        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state, "inc": inc}}
-        mask, begin = 1 << (k - 1), steps
-        while mask and steps < config.max_steps:
-            room = config.max_steps - steps
-            draws = bits[cuts.searchsorted(gen.integers(0, den, size=_CHUNK), "right")].tolist()
-            for n, b in enumerate(draws if room >= _CHUNK else draws[:room], 1):
-                mask = mask ^ b if flip or b == mask & -mask else mask | b
-                if not mask:
-                    break
-            steps += n
-            yield draws[:n]
-        if mask:
-            return
-        lengths.append(steps - begin)
+    room = config.max_steps  # steps left when the first unfinished phase starts
+    for first in range(0, config.phases, _BLOCK):
+        lanes = _phase_lanes(config.seed, first, min(first + _BLOCK, config.phases))
+        n = len(lanes)
+        masks, walked, held = [1 << (k - 1)] * n, [0] * n, [array(index.char) for _ in range(n)]
+        head = sent = 0  # the first unfinished lane, and its steps yielded so far
+        live, width = list(range(n)), _ROUND_MIN
+        while True:
+            while head < n and not masks[head] and walked[head] <= room:
+                yield held[head]
+                held[head] = None
+                lengths.append(walked[head])
+                room -= walked[head]
+                head, sent = head + 1, 0
+            if head == n:
+                break
+            if walked[head] >= room:  # the step budget ends inside this phase
+                yield held[head][:room - sent]
+                return
+            yield held[head]
+            held[head], sent = array(index.char), walked[head]
+            # lane j may walk room - before[j - head] steps: those left once the lanes
+            # from head to the one before j have walked theirs. A lane ahead of head holds
+            # at most its share of room, so the steps walked past the cut stay near room.
+            before = list(accumulate(walked[head:], initial=0))
+            lead = min(_LEAD, room // n)
+            live = [j for j in live if masks[j] and walked[j] < min(lead, room - before[j - head])]
+            if live[:1] != [head]:
+                live.insert(0, head)
+            outputs = min(width, _ROUND_OUTPUTS // len(live))
+            lanes_a_call = _GRID // outputs
+            for group in (live[g:g + lanes_a_call] for g in range(0, len(live), lanes_a_call)):
+                rows = lanes[group]
+                drawn, counts = _draws(den, rows, outputs)
+                lanes[group] = rows
+                metrics = metric(drawn)
+                drawn, metrics = bits[metrics].tolist(), memoryview(metrics).cast("B")
+                end = 0
+                for j, count in zip(group, counts.tolist()):
+                    start, end = end, end + count
+                    mask, steps = masks[j], iter(drawn[start:end])
+                    for b in steps:
+                        mask = mask ^ b if flip or b == mask & -mask else mask | b
+                        if not mask:
+                            break
+                    used = count - length_hint(steps)
+                    masks[j] = mask
+                    walked[j] += used
+                    held[j].frombytes(metrics[start * size:(start + used) * size])
+            width = min(2 * width, _ROUND_MAX)
 
 
 def _replay(config: ExperimentConfig, lengths: list[int]) -> Trace:
@@ -486,17 +609,16 @@ def _replay(config: ExperimentConfig, lengths: list[int]) -> Trace:
             lambda q, adv: lower_bound_adversary_step(q, adv, q0, spec))
 
     @lru_cache(_CACHE_SIZE)
-    def move(q, adv, b):
+    def move(q, adv, j):
         adv_next, r = adversary(q, adv)
-        j = b.bit_length() - 1
         q_next = q[:j] + r[j:j + 1] + q[j + 1:]
         mask = diff_mask(q_next, adv_next, bits)
         return r, q_next, adv_next, sum(map(ne, adv, adv_next)), mask.bit_count(), mask
 
     def steps():
         q = adv = q0
-        for t, b in enumerate(chain.from_iterable(_walk(config, lengths)), 1):
-            r, q, adv, adv_cost, hamming, mask = move(q, adv, b)
+        for t, j in enumerate(chain.from_iterable(_walk(config, lengths)), 1):
+            r, q, adv, adv_cost, hamming, mask = move(q, adv, j)
             yield TraceStep(t, r, q, adv, 1, adv_cost, hamming, mask)
 
     return Trace(k=spec.k, n=spec.n, policy=config.policy, adversary=config.adversary,

@@ -1,6 +1,7 @@
 """CLI: subcommands, exit codes, output round trips."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -290,6 +291,20 @@ def test_traced_simulate_walks_its_seeds_once(overrides, code, tmp_path, capsys,
     assert trace.read_text().splitlines()[-1].startswith(f"{summary.steps},")
     if code == EXIT_BUDGET:
         assert summary.steps == 1000 > summary.alg_cost  # the last phase is cut, not finished
+
+
+def test_traced_simulate_ends_by_the_step_budget_when_no_phase_ends(tmp_path, capsys):
+    # no phase at k = 64 ends within 5000 steps, so every lane of the first block is
+    # endless: the walk stops at the budget and writes the first phase's 5000 steps
+    trace = tmp_path / "t.csv"
+    path = _write_config(tmp_path, k=64, n=[3] * 64, policy=["1/64"] * 64, phases=10**6,
+                         seed=26, max_steps=5000, emit_trace=True, trace_path=str(trace))
+    assert run_cli("simulate", str(path)) == EXIT_BUDGET
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["steps"], summary["phases"], summary["alg_cost"]) == (5000, 0, 0)
+    assert summary["exhausted"]
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+        "1c6fa7fcda288be29982b13f34e47fb2df1f525897bf497a496d5e81fea8fa5d")
 
 
 def test_verify_flags_corrupted_trace(tmp_path, capsys):

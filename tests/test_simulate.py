@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import chain, islice
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from gkserver.simulate import (
     write_trace_csv,
 )
 from gkserver.harmonic import exact_thresholds
-from gkserver.simulate import _phase_streams
+from gkserver.simulate import _draws, _phase_lanes, _phase_streams, _summarize
 from gkserver.subsets import MemorylessPolicy
 
 
@@ -366,6 +367,98 @@ def test_run_matches_reference_step_functions_denominator_just_below_2_63():
     assert exact_thresholds(cfg.policy.probs)[0] == 2**63 - 1
     _, trace = run(cfg)
     assert list(trace.steps) == _replay_with_reference_functions(cfg)
+
+
+# common denominators on both sides of 2^32 and up to 2^63 - 1; at 3 * 2^30 + 1 Lemire's
+# method rejects about 25 % of the 32-bit halves, and at 2^62 + 3 about 25 % of the outputs
+DENOMINATORS = [1, 2, 3, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**62 + 3,
+                2**63 - 1]
+
+
+def _policy_over(den):
+    """A policy whose common denominator is den: ["1"], or two fractions p/den coprime to it."""
+    if den == 1:
+        return ["1"]
+    p = next(p for p in range(den // 2, den) if math.gcd(p, den) == 1)
+    return [f"{p}/{den}", f"{den - p}/{den}"]
+
+
+def _summary_from_reference(cfg):
+    """run()'s summary, rebuilt from the phase lengths of the reference re-drive."""
+    lengths, t = [], 0
+    for step in _replay_with_reference_functions(cfg):
+        if step.hamming == 0:
+            lengths.append(step.t - t)
+            t = step.t
+    return _summarize(cfg, lengths, t)
+
+
+# numpy warns on a uint64 scalar product that wraps; the kernel's arrays wrap silently
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("den", DENOMINATORS)
+def test_kernel_draws_are_numpy_integers(den):
+    seed, phases = 2**33 + 5, 7
+    lanes = _phase_lanes(seed, 0, phases)
+    rows = [[] for _ in range(phases)]
+    # rounds of uneven widths up to the longest, odd ones too
+    widths = (8, 16, 3, 64, 8, simulate._ROUND_MAX, 1)
+    for width in widths:
+        drawn, counts = _draws(den, lanes, width)
+        drawn = iter(drawn.tolist())
+        for row, count in zip(rows, counts.tolist()):
+            row.extend(islice(drawn, count))
+    # a share 2^w mod den / 2^w of the w-bit words is rejected, w = 32 up to 2^32 (two
+    # words an output) and 64 above
+    bits = 32 if den <= 2**32 else 64
+    words = sum(widths) * 64 // bits
+    for i, row in enumerate(rows):
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+        assert gen.integers(0, den, size=len(row)).tolist() == row
+        assert abs(len(row) / words - (1 - (2**bits % den) / 2**bits)) < 0.1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("den", DENOMINATORS)
+def test_run_matches_a_policy_sampler_redrive(den):
+    policy = _policy_over(den)
+    cfg = ExperimentConfig.from_dict({
+        "k": len(policy), "n": [3] * len(policy), "policy": policy,
+        "adversary": "lower_bound", "phases": 300, "seed": 2**32 + 9,
+    })
+    assert exact_thresholds(cfg.policy.probs)[0] == den
+    assert run(cfg)[0] == _summary_from_reference(cfg)
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_matches_a_policy_sampler_redrive_across_three_blocks():
+    cfg = _cfg(phases=2100, seed=2**32 + 11)
+    assert run(cfg)[0] == _summary_from_reference(cfg)
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_ends_by_the_step_budget_when_no_phase_ends():
+    # no phase at k = 64 ends within 5000 steps: a lane stops walking once the lanes
+    # before it have walked the budget, so the 1024 endless lanes of a block terminate
+    cfg = ExperimentConfig.from_dict({
+        "k": 64, "n": [3] * 64, "policy": ["1/64"] * 64, "adversary": "lower_bound",
+        "phases": 10**6, "seed": 26, "max_steps": 5000,
+    })
+    summary, _ = run(cfg)
+    assert summary == _summarize(cfg, [], 5000)
+    assert (summary.steps, summary.phases, summary.exhausted) == (5000, 0, True)
+
+
+def test_walk_yields_metric_indices_beyond_one_byte():
+    # 300 metrics need two-byte indices; phase 0 does not end within the 3000-step budget
+    cfg = ExperimentConfig.from_dict({
+        "k": 300, "n": [3] * 300, "policy": ["1/300"] * 300, "adversary": "lower_bound",
+        "phases": 5, "seed": 9, "max_steps": 3000,
+    })
+    sampler = PolicySampler(cfg.policy, (cfg.seed, 0))
+    lengths = []
+    assert list(chain.from_iterable(simulate._walk(cfg, lengths))) == [
+        sampler.draw() for _ in range(3000)]
+    assert lengths == []
 
 
 @pytest.mark.parametrize("adversary,n_point", [("lower_bound", 3), ("n2", 2)])
