@@ -383,7 +383,11 @@ _BLOCK, _CHUNK = 1024, 256  # phases seeded at once, integers PolicySampler draw
 # of all lanes in one round, and in one _draws call (arrays of 64 KiB); steps a lane may
 # walk while a phase before it is still running
 _ROUND_MIN, _ROUND_MAX, _ROUND_OUTPUTS, _GRID, _LEAD = 8, 2**11, 2**15, 2**13, 2**12
+_AHEAD = 16  # the lanes after the first unfinished one walk together ~1/_AHEAD of steps left
 _TABLE_MAX = 2**16  # largest denominator whose draws find their metric in a table
+# the draws a lane walks per lookup in the mask table of k metrics: the largest m <= 8 with
+# 2^k k^m <= 2^16 entries; from k = 10 on m would be 1, and the walk keeps the mask rule
+_GRAM = {k: max(m for m in range(1, 9) if 2**k * k**m <= 2**16) for k in range(1, 10)}
 
 
 def _words(n: int) -> list[int]:
@@ -454,12 +458,6 @@ def _phase_lanes(seed: int, start: int, stop: int):
     return np.stack((*state, *inc), axis=1)
 
 
-def _phase_streams(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """The (state, inc) integers, as numpy's PCG64 state holds them, of _phase_lanes."""
-    return [(sh << 64 | sl, ih << 64 | il)
-            for sh, sl, ih, il in _phase_lanes(seed, start, stop).tolist()]
-
-
 @cache
 def _jump_tables():
     """PCG64 advanced t steps from (state s, increment inc) is A_t * s + G_t * inc mod 2^128,
@@ -503,6 +501,46 @@ def _draws(den: int, lanes, width: int):
     return draws[accepted], accepted.sum(1)
 
 
+def _rule(mask: int, drawn: list[int], flip: bool, bit: list[int]) -> tuple[int, int]:
+    """The mask after the drawn metric indices, and how many of them it used.
+
+    The mask rule: the drawn metric j (bit[j] = 1 << j) always flips in
+    the mask (n2, flip) or leaves it if it is its lowest and joins it
+    otherwise (lower_bound). The walk stops where the mask, and the phase,
+    ends at 0.
+    """
+    steps = iter(drawn)
+    for j in steps:
+        b = bit[j]
+        mask = mask ^ b if flip or b == mask & -mask else mask | b
+        if not mask:
+            break
+    return mask, len(drawn) - length_hint(steps)
+
+
+@cache
+def _gram_table(k: int, flip: bool) -> tuple[list[array], list[array]]:
+    """The m-gram mask table (m = _GRAM[k]) as (masks, ends), one row per mask S.
+
+    Column c stands for the m draws whose metric indices are c's base-k
+    digits, first draw most significant. masks[S][c] is the mask after
+    them, or 0 if the phase ends within them; then ends[S][c] is the draw,
+    1 to m, at which it ends. The table is m compositions of the one-step
+    table of _rule, where 0 stays 0. Entries below 2^8 take one byte,
+    masks at k = 9 two.
+    """
+    bit = [1 << j for j in range(k)]
+    step = np.array([[_rule(s, [j], flip, bit)[0] if s else 0 for j in range(k)]
+                     for s in range(1 << k)])
+    step = step.astype(np.min_scalar_type(step.max()))
+    masks, ends = np.arange(1 << k, dtype=step.dtype)[:, None], np.zeros((1 << k, 1), np.uint8)
+    for _ in range(_GRAM[k]):
+        # a column c of i draws becomes the columns c k + d: draw d follows
+        ends = np.repeat(ends + (masks > 0), k, axis=1)  # draws before the mask reached 0
+        masks = step[masks].reshape(len(masks), -1)
+    return tuple([array(t.dtype.char, row.tobytes()) for row in t] for t in (masks, ends))
+
+
 def _walk(config: ExperimentConfig, lengths: list[int]):
     """Walk the mask S of differing metrics; yield arrays of the metric indices drawn and
     used, in phase order.
@@ -513,12 +551,18 @@ def _walk(config: ExperimentConfig, lengths: list[int]):
     (lower_bound) or always flips (n2), and the phase ends at S = {}.
     The phases of a 1024-phase block are lanes walked in lockstep rounds.
     A round draws every walking lane's next outputs (_draws, _GRID outputs
-    a call at most), then walks each lane's draws with the mask rule in
-    Python. A lane's outputs a round double from _ROUND_MIN to _ROUND_MAX,
-    and a round takes at most _ROUND_OUTPUTS over all its lanes. A lane's
-    steps are yielded once every phase before it has ended; until then the
-    lane holds them, and it pauses after _LEAD steps or after its share of
-    the steps left among the block's lanes, whichever is fewer.
+    a call at most), then walks each lane's draws in Python. Up to k = 9 a
+    lane walks m = _GRAM[k] draws per lookup in _gram_table, keyed by their
+    m-gram code, which numpy computes for every lane at once; the table
+    also gives the draw at which a phase ends inside a gram, and the mask
+    rule (_rule) walks the lane's last count % m draws. From k = 10 on
+    _rule walks every draw. A lane's outputs a round double from
+    _ROUND_MIN to _ROUND_MAX, and a round takes at most _ROUND_OUTPUTS
+    over all its lanes. A lane's steps are yielded once every phase before
+    it has ended; until then the lane holds them, and it pauses after
+    _LEAD steps. The lanes after the first unfinished one walk only while
+    they hold, together, under 1/_AHEAD of the steps left, so the steps
+    walked past a budget cut stay a small share of it.
     config.max_steps cuts the walk in phase order: a lane stops once the
     lanes up to it have walked the steps left. A finished phase appends its
     length to `lengths`.
@@ -532,9 +576,11 @@ def _walk(config: ExperimentConfig, lengths: list[int]):
     else:  # uint64 cuts beside uint64 draws: int64 would make searchsorted compare in float64
         cuts = np.array(thresholds, dtype=np.uint64)
         metric = lambda drawn: cuts.searchsorted(drawn, "right").astype(index)
-    # a bit beyond the 63rd does not fit int64
-    bits = np.array([1 << j for j in range(k)], dtype=np.int64 if k < 64 else object)
     flip = config.adversary == "n2"
+    bit = [1 << j for j in range(k)]
+    gram = _GRAM.get(k)
+    if gram:
+        table, ends = _gram_table(k, flip)
     room = config.max_steps  # steps left when the first unfinished phase starts
     for first in range(0, config.phases, _BLOCK):
         lanes = _phase_lanes(config.seed, first, min(first + _BLOCK, config.phases))
@@ -556,34 +602,62 @@ def _walk(config: ExperimentConfig, lengths: list[int]):
                 return
             yield held[head]
             held[head], sent = array(index.char), walked[head]
-            # lane j may walk room - before[j - head] steps: those left once the lanes
-            # from head to the one before j have walked theirs. A lane ahead of head holds
-            # at most its share of room, so the steps walked past the cut stay near room.
             before = list(accumulate(walked[head:], initial=0))
-            lead = min(_LEAD, room // n)
-            live = [j for j in live if masks[j] and walked[j] < min(lead, room - before[j - head])]
-            if live[:1] != [head]:
-                live.insert(0, head)
-            outputs = min(width, _ROUND_OUTPUTS // len(live))
+            # the lanes after head walk while they hold, together, under 1/_AHEAD of room, so
+            # the steps walked past the cut stay near room
+            if before[-1] - before[1] < room // _AHEAD:
+                # lane j may walk room - before[j - head] steps: those left once the lanes
+                # from head to the one before j have walked theirs
+                live = [j for j in live
+                        if masks[j] and walked[j] < min(_LEAD, room - before[j - head])]
+                if live[:1] != [head]:
+                    live.insert(0, head)
+                walking = live
+            else:
+                walking = [head]
+            outputs = min(width, _ROUND_OUTPUTS // len(walking))
             lanes_a_call = _GRID // outputs
-            for group in (live[g:g + lanes_a_call] for g in range(0, len(live), lanes_a_call)):
+            for group in (walking[g:g + lanes_a_call]
+                          for g in range(0, len(walking), lanes_a_call)):
                 rows = lanes[group]
                 drawn, counts = _draws(den, rows, outputs)
                 lanes[group] = rows
                 metrics = metric(drawn)
-                drawn, metrics = bits[metrics].tolist(), memoryview(metrics).cast("B")
-                end = 0
-                for j, count in zip(group, counts.tolist()):
+                raw, end = memoryview(metrics).cast("B"), 0
+                if not gram:
+                    drawn = metrics.tolist()
+                    for j, count in zip(group, counts.tolist()):
+                        start, end = end, end + count
+                        masks[j], used = _rule(masks[j], drawn[start:end], flip, bit)
+                        walked[j] += used
+                        held[j].frombytes(raw[start * size:(start + used) * size])
+                    continue
+                # lane l's gram g starts at draw start_l + m (g - first gram of l)
+                grams = counts // gram
+                at = np.repeat(np.cumsum(counts) - counts - gram * (np.cumsum(grams) - grams),
+                               grams) + gram * np.arange(grams.sum())
+                codes = metrics[at].astype(np.intp)
+                for i in range(1, gram):
+                    codes = codes * k + metrics[at + i]
+                codes, high = codes.tolist(), 0
+                for j, count, lookups in zip(group, counts.tolist(), grams.tolist()):
                     start, end = end, end + count
-                    mask, steps = masks[j], iter(drawn[start:end])
-                    for b in steps:
-                        mask = mask ^ b if flip or b == mask & -mask else mask | b
-                        if not mask:
+                    low, high = high, high + lookups
+                    mask = after = masks[j]
+                    lane = iter(codes[low:high])
+                    for code in lane:
+                        if not (after := table[mask][code]):
                             break
-                    used = count - length_hint(steps)
-                    masks[j] = mask
+                        mask = after
+                    if after:  # the rule walks the last count % m draws
+                        tail = raw[end - count % gram:end].tolist()
+                        masks[j], used = _rule(mask, tail, flip, bit)
+                        used += count - len(tail)
+                    else:  # the phase ended in the gram of `code`
+                        masks[j] = 0
+                        used = gram * (lookups - length_hint(lane) - 1) + ends[mask][code]
                     walked[j] += used
-                    held[j].frombytes(metrics[start * size:(start + used) * size])
+                    held[j].frombytes(raw[start:start + used])  # k <= 9: one byte a step
             width = min(2 * width, _ROUND_MAX)
 
 

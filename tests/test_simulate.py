@@ -2,8 +2,9 @@
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, product
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from gkserver.simulate import (
     write_trace_csv,
 )
 from gkserver.harmonic import exact_thresholds
-from gkserver.simulate import _draws, _phase_lanes, _phase_streams, _summarize
+from gkserver.simulate import _draws, _phase_lanes, _summarize
 from gkserver.subsets import MemorylessPolicy
 
 
@@ -294,7 +295,7 @@ def test_transition_frequency_matches_policy():
 
 def _replay_with_reference_functions(cfg):
     """Re-drive a run through the public step functions, drawing from the
-    same per-phase streams the run loop uses."""
+    same per-phase streams the run loop uses, up to cfg.max_steps steps."""
     k = cfg.spec.k
     q0 = tuple(0 for _ in range(k))
     q, adv = q0, q0
@@ -302,7 +303,7 @@ def _replay_with_reference_functions(cfg):
     steps = []
     t = 0
     phases = 0
-    while phases < cfg.phases:
+    while phases < cfg.phases and t < cfg.max_steps:
         t += 1
         if cfg.adversary == "lower_bound":
             adv, r = lower_bound_adversary_step(q, adv, q0, cfg.spec)
@@ -384,13 +385,13 @@ def _policy_over(den):
 
 
 def _summary_from_reference(cfg):
-    """run()'s summary, rebuilt from the phase lengths of the reference re-drive."""
+    """run()'s summary, rebuilt from the phase lengths and the steps of the reference re-drive."""
     lengths, t = [], 0
     for step in _replay_with_reference_functions(cfg):
         if step.hamming == 0:
             lengths.append(step.t - t)
             t = step.t
-    return _summarize(cfg, lengths, t)
+    return _summarize(cfg, lengths, step.t)
 
 
 # numpy warns on a uint64 scalar product that wraps; the kernel's arrays wrap silently
@@ -461,6 +462,104 @@ def test_walk_yields_metric_indices_beyond_one_byte():
     assert lengths == []
 
 
+def test_gram_lengths_follow_the_table_size():
+    # m is the largest gram length <= 8 whose table of 2^k k^m entries fits 2^16
+    assert simulate._GRAM == {1: 8, 2: 8, 3: 8, 4: 6, 5: 4, 6: 3, 7: 3, 8: 2, 9: 2}
+    for k, m in simulate._GRAM.items():
+        assert 2**k * k**m <= 2**16 and (m == 8 or 2**k * k ** (m + 1) > 2**16)
+    assert 2**10 * 10**2 > 2**16  # from k = 10 on a gram of two draws does not fit
+
+
+def _rule_reference(k, flip, mask, metrics):
+    """(mask, draw at which the phase ends or 0) after the drawn metrics, on a set of metrics."""
+    s = {i for i in range(k) if mask >> i & 1}
+    for t, j in enumerate(metrics, 1):
+        if flip or j == min(s):
+            s ^= {j}
+        else:
+            s.add(j)
+        if not s:
+            return 0, t
+    return sum(1 << i for i in s), 0
+
+
+@pytest.mark.parametrize("adversary", ["lower_bound", "n2"])
+@pytest.mark.parametrize("k", range(1, 10))
+def test_gram_table_matches_the_rule(k, adversary):
+    flip, m = adversary == "n2", simulate._GRAM[k]
+    masks, ends = simulate._gram_table(k, flip)
+    assert len(masks) == len(ends) == 2**k
+    for mask in range(1, 2**k):
+        assert len(masks[mask]) == len(ends[mask]) == k**m
+        for code, digits in enumerate(product(range(k), repeat=m)):
+            after, end = _rule_reference(k, flip, mask, digits)
+            assert masks[mask][code] == after
+            if not after:
+                assert ends[mask][code] == end
+
+
+TABLE_CASES = [(k, adversary, policy) for k in range(1, 10) for adversary in ("lower_bound", "n2")
+               for policy in (("uniform", "random", "den") if k > 1 else ("uniform",))]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k, adversary, policy", TABLE_CASES)
+def test_table_walk_matches_a_policy_sampler_redrive(k, adversary, policy):
+    # 4001 steps end inside a gram of every length m > 1; the den policy's common
+    # denominator 3 * 2^30 + 1 rejects about 25 % of the draws, so lanes get uneven counts
+    if policy == "uniform":
+        den, weights = k, [1] * k
+    elif policy == "random":
+        rng = random.Random(k)
+        weights = [rng.randint(1, 9) for _ in range(k)]
+        den = sum(weights)
+    else:
+        den = 3 * 2**30 + 1
+        weights = [den // k] * (k - 1) + [den - den // k * (k - 1)]
+    cfg = ExperimentConfig.from_dict({
+        "k": k, "n": [2 if adversary == "n2" else 3] * k,
+        "policy": [f"{w}/{den}" for w in weights], "adversary": adversary,
+        "phases": 60, "seed": 2**32 + k, "max_steps": 4001,
+    })
+    if policy == "den":
+        assert exact_thresholds(cfg.policy.probs)[0] == den
+    assert run(cfg)[0] == _summary_from_reference(cfg)
+
+
+@pytest.mark.parametrize("k, table", [(1, True), (9, True), (10, False), (64, False)])
+def test_walk_takes_the_table_up_to_k_9(monkeypatch, k, table):
+    built, gram_table = [], simulate._gram_table
+    monkeypatch.setattr(simulate, "_gram_table",
+                        lambda *key: built.append(key) or gram_table(*key))
+    run(ExperimentConfig.from_dict({
+        "k": k, "n": [3] * k, "policy": [f"1/{k}"] * k, "adversary": "lower_bound",
+        "phases": 3, "seed": 1, "max_steps": 500,
+    }))
+    assert built == ([(k, False)] if table else [])
+
+
+@pytest.mark.filterwarnings("error")
+def test_walk_past_a_budget_cut_stays_near_the_budget(monkeypatch):
+    # no phase at k = 64 ends within the budget, so the first phase walks all of it; the
+    # lanes ahead of it walk together about 1/16 of it, plus at most one round
+    drawn = []
+
+    def counted(den, lanes, width):
+        draws, counts = _draws(den, lanes, width)
+        drawn.append(len(draws))
+        return draws, counts
+
+    monkeypatch.setattr(simulate, "_draws", counted)
+    max_steps = 2 * 10**5
+    cfg = ExperimentConfig.from_dict({
+        "k": 64, "n": [3] * 64, "policy": ["1/64"] * 64, "adversary": "lower_bound",
+        "phases": 10**6, "seed": 5, "max_steps": max_steps,
+    })
+    assert run(cfg)[0] == _summarize(cfg, [], max_steps)
+    # den = 64: each PCG64 output gives two draws, one from each 32-bit half
+    assert max_steps <= sum(drawn) <= 1.25 * max_steps + 2 * simulate._ROUND_OUTPUTS
+
+
 @pytest.mark.parametrize("adversary,n_point", [("lower_bound", 3), ("n2", 2)])
 def test_trace_takes_each_adversary_move_from_its_step_function(monkeypatch, adversary, n_point):
     # the replay calls the public step once per distinct (policy, adversary)
@@ -516,18 +615,21 @@ def test_config_rejects_denominator_beyond_int64_draws(den, accepted):
 
 
 def _numpy_stream(seed, i):
-    """(state, inc) of the PCG64 that numpy seeds from SeedSequence((seed, i))."""
+    """The PCG64 that numpy seeds from SeedSequence((seed, i)), as a _phase_lanes row:
+    (state hi, state lo, inc hi, inc lo), 64-bit limbs."""
     state = np.random.PCG64(np.random.SeedSequence((seed, i))).state
     assert state["has_uint32"] == 0 and state["uinteger"] == 0
-    return state["state"]["state"], state["state"]["inc"]
+    state, inc = state["state"]["state"], state["state"]["inc"]
+    return [state >> 64, state & 2**64 - 1, inc >> 64, inc & 2**64 - 1]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**200])
 def test_phase_streams_match_numpy_seeding(seed):
     for i in (0, 1, 1023, 1024, 2**32 - 1, 2**32):
         first = i - i % 1024
-        assert _phase_streams(seed, first, first + 1024)[i - first] == _numpy_stream(seed, i)
-        assert _phase_streams(seed, i, i + 1) == [_numpy_stream(seed, i)]
+        block = _phase_lanes(seed, first, first + 1024)
+        assert block[i - first].tolist() == _numpy_stream(seed, i)
+        assert _phase_lanes(seed, i, i + 1).tolist() == [_numpy_stream(seed, i)]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -535,16 +637,16 @@ def test_phase_streams_match_numpy_seeding(seed):
 def test_phase_streams_property(seed, block, offset, length):
     first = block * 1024 + offset
     stop = min(first + length, (block + 1) * 1024)
-    streams = _phase_streams(seed, first, stop)
-    assert len(streams) == stop - first
+    lanes = _phase_lanes(seed, first, stop)
+    assert lanes.shape == (stop - first, 4)
     for i in {first, (first + stop) // 2, stop - 1}:
-        assert streams[i - first] == _numpy_stream(seed, i)
+        assert lanes[i - first].tolist() == _numpy_stream(seed, i)
 
 
 def test_phase_streams_reject_ranges_across_blocks():
     for start, stop in ((1000, 1100), (5, 5), (-1, 3)):
         with pytest.raises(ValueError):
-            _phase_streams(0, start, stop)
+            _phase_lanes(0, start, stop)
 
 
 def test_trace_csv_round_trip(tmp_path):
