@@ -185,14 +185,6 @@ def cmd_system(args) -> int:
     return EXIT_OK
 
 
-def _keeping_last(steps, last: list):
-    """Yield steps; once they run out, append the last one to `last`."""
-    step = None
-    for step in steps:
-        yield step
-    last.append(step)
-
-
 def cmd_simulate(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
     if args.seed is not None:
@@ -204,11 +196,8 @@ def cmd_simulate(args) -> int:
     if config.emit_trace:
         # one walk: it feeds the trace and records the phase lengths the summary needs
         lengths: list[int] = []
-        last: list = []
-        trace = _replay(config, lengths)
-        write_trace_csv(dataclasses.replace(trace, steps=_keeping_last(trace.steps, last)),
-                        config.trace_path)
-        summary = _summarize(config, lengths, last[0].t)
+        write_trace_csv(_replay(config, lengths), config.trace_path)
+        summary = _summarize(config, lengths)
     else:
         summary, _ = run(config)
     out_path = args.out or config.summary_path

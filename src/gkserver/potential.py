@@ -19,14 +19,14 @@ as an exact rational inequality on every finished trace.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter, eq, ne
+from operator import eq, ne
 
 from .chains import harmonic_eet
 from .harmonic import alpha_table, rational_to_str
-from .simulate import _CACHE_SIZE, TraceStep, diff_mask
+from .simulate import _CACHE_SIZE, _ROW_VALUES, diff_mask
 from .subsets import MemorylessPolicy
 
 __all__ = [
@@ -156,10 +156,6 @@ def _scaled_drops(ctx: PotentialContext) -> list[list[int]]:
             for d in range(k + 1)]
 
 
-# a step's columns after `t`, in TraceStep's order
-_AFTER_T = attrgetter(*(f.name for f in fields(TraceStep)[1:]))
-
-
 def _stamped(t: int, records) -> list[dict]:
     """Fresh report records of step t from cached t-free ones; a tuple value becomes a list."""
     return [{"t": t, **{key: list(v) if type(v) is tuple else v for key, v in record.items()}}
@@ -251,7 +247,7 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
         return before, tuple(after), drop, d_new
 
     for steps, s in enumerate(trace.steps, 1):
-        before, after, drop, d_prev = audit(q_prev, adv_prev, *_AFTER_T(s))
+        before, after, drop, d_prev = audit(q_prev, adv_prev, *_ROW_VALUES(s))
         t = s.t
         if before:
             violations += _stamped(t, before)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from fractions import Fraction
@@ -565,7 +565,8 @@ def _walk(config: ExperimentConfig, lengths: list[int]):
     walked past a budget cut stay a small share of it.
     config.max_steps cuts the walk in phase order: a lane stops once the
     lanes up to it have walked the steps left. A finished phase appends its
-    length to `lengths`.
+    length to `lengths`. So the walk yields the sum of `lengths` steps when
+    every phase finishes, and exactly config.max_steps when the cut ends it.
     """
     k = config.spec.k
     den, thresholds = exact_thresholds(config.policy.probs)
@@ -699,10 +700,12 @@ def _replay(config: ExperimentConfig, lengths: list[int]) -> Trace:
                  seed=config.seed, q0=q0, adv0=q0, steps=steps())
 
 
-def _summarize(config: ExperimentConfig, lengths: list[int], steps: int) -> RunSummary:
-    """The summary of a walk of `steps` steps whose finished phases had these lengths."""
+def _summarize(config: ExperimentConfig, lengths: list[int]) -> RunSummary:
+    """The summary of a walk whose finished phases had these lengths: its steps are their
+    sum, or config.max_steps if the budget cut the walk (which then yields that many)."""
     phases = len(lengths)
     alg_cost = sum(lengths)
+    exhausted = phases < config.phases
     mean_len, max_len, se, ratio = 0.0, 0, 0.0, None
     if phases:
         mean_len, max_len, ratio = alg_cost / phases, max(lengths), Fraction(alg_cost, phases)
@@ -711,9 +714,9 @@ def _summarize(config: ExperimentConfig, lengths: list[int], steps: int) -> RunS
     return RunSummary(
         alg_cost=alg_cost, adv_cost=phases, ratio=ratio, phases=phases,
         mean_phase_length=mean_len, max_phase_length=max_len, phase_length_se=se,
-        steps=steps, seed=config.seed, policy=tuple(config.policy.as_strs()),
-        adversary=config.adversary, k=config.spec.k, n=config.spec.n,
-        exhausted=phases < config.phases,
+        steps=config.max_steps if exhausted else alg_cost, seed=config.seed,
+        policy=tuple(config.policy.as_strs()), adversary=config.adversary, k=config.spec.k,
+        n=config.spec.n, exhausted=exhausted,
     )
 
 
@@ -724,8 +727,8 @@ def run(config: ExperimentConfig):
     record. The trace's steps walk the same seeds again as they are read.
     """
     lengths: list[int] = []
-    steps = sum(map(len, _walk(config, lengths)))
-    return _summarize(config, lengths, steps), _replay(config, []) if config.emit_trace else None
+    deque(_walk(config, lengths), maxlen=0)  # drained: the summary needs only the lengths
+    return _summarize(config, lengths), _replay(config, []) if config.emit_trace else None
 
 
 def raise_if_exhausted(config: ExperimentConfig, summary: RunSummary) -> None:
@@ -782,24 +785,25 @@ _CODECS = {
 }
 _HEADER = {f.name: f for f in fields(Trace) if f.name != "steps"}
 _COLUMNS = ",".join(f.name for f in fields(TraceStep))
+# a step's row: its columns after t, which is new at every step, so the caches of the
+# writer, the reader and the audit key on the row's values
+_ROW = fields(TraceStep)[1:]
+_ROW_VALUES = attrgetter(*(f.name for f in _ROW))
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Deterministic CSV with a self-describing comment header; consumes trace.steps."""
-    _, *after_t = fields(TraceStep)
-    values = attrgetter(*(f.name for f in after_t))
-
-    # t is new at every step: the text of the columns after it is built once per distinct row
+    # the text of a row is built once per distinct row
     @lru_cache(_CACHE_SIZE)
     def text(row):
-        return ",".join([_CODECS[f.type][0](v) for f, v in zip(after_t, row)])
+        return ",".join([_CODECS[f.type][0](v) for f, v in zip(_ROW, row)])
 
     with open(path, "w", newline="\n") as fh:
         fh.write("# gkserver-trace v1\n")
         fh.writelines(f"# {name}={_CODECS[f.type][0](getattr(trace, name))}\n"
                       for name, f in _HEADER.items())
         fh.write(_COLUMNS + "\n")
-        fh.writelines(f"{s.t},{text(values(s))}\n" for s in trace.steps)
+        fh.writelines(f"{s.t},{text(_ROW_VALUES(s))}\n" for s in trace.steps)
 
 
 def _numbered_lines(path: str):
@@ -851,31 +855,32 @@ def read_trace_csv(path: str) -> Trace:
 def _read_steps(lines, spec: MetricSpec):
     """Yield the steps of the lines after the column header, each checked as it is parsed."""
     step = None
-    _, *after_t = fields(TraceStep)
 
     def decode(f, text):
         value = _CODECS[f.type][1](text)
         # every tuple column is a configuration or request: a point of spec's metrics
         return _validate_config_point(spec, value, f.name) if type(value) is tuple else value
 
-    # t is new at every step: the columns after it are parsed and checked once per distinct row
+    # a row is parsed and checked once per distinct row
     @lru_cache(_CACHE_SIZE)
     def row(text):
-        return list(map(decode, after_t, text.split(",")))
+        return list(map(decode, _ROW, text.split(",")))
 
     for lineno, line in lines:
         if not line:
             continue
         if line.startswith("#"):
             raise ValueError(f"line {lineno}: '#' line after the column header")
-        if line.count(",") != len(after_t):
-            raise ValueError(f"line {lineno}: expected {len(after_t) + 1} fields, "
+        if line.count(",") != len(_ROW):
+            raise ValueError(f"line {lineno}: expected {len(_ROW) + 1} fields, "
                              f"got {line.count(',') + 1}")
         t, _, rest = line.partition(",")
         try:
             step = TraceStep(int(t), *row(rest))
         except ConfigError as exc:  # a bad configuration: name its step as well as its column
             raise ConfigError(f"step t={int(t)}: {exc}") from exc
+        except ValueError as exc:  # a field that is not a number, or t beyond int()'s digits
+            raise ValueError(f"line {lineno}: {exc}") from exc
         yield step
     if step is None:
         raise ValueError("trace holds no steps")

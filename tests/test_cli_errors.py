@@ -276,7 +276,7 @@ CASES = {
         ""),
     "trace_t_beyond_digit_limit": (
         ["verify", "{tmp}/long_t.csv"], 2,
-        "error: malformed trace: Exceeds the limit (4300 digits) for integer "
+        "error: malformed trace: line 10: Exceeds the limit (4300 digits) for integer "
         "string conversion: value has 4400 digits; use "
         "sys.set_int_max_str_digits() to increase the limit\n",
         ""),
@@ -304,7 +304,7 @@ CASES = {
         ""),
     "trace_cost_not_int_mid_trace": (
         ["--out", "{tmp}/report.json", "verify", "{tmp}/cost_not_int.csv"], 2,
-        "error: malformed trace: invalid literal for int() with base 10: 'one'\n",
+        "error: malformed trace: line 41: invalid literal for int() with base 10: 'one'\n",
         ""),
     "trace_header_key_after_steps": (
         ["--out", "{tmp}/report.json", "verify", "{tmp}/late_q0.csv"], 2,

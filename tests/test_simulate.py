@@ -206,6 +206,7 @@ def test_run_accounting_invariants():
     assert summary.alg_cost == summary.steps          # the policy moves every step
     assert not summary.exhausted
     steps = list(trace.steps)
+    assert len(steps) == summary.steps
     assert sum(s.alg_cost for s in steps) == summary.alg_cost
     assert sum(s.adv_cost for s in steps) == summary.adv_cost
     # phase boundaries are exactly the zero-distance steps
@@ -218,6 +219,8 @@ def test_run_respects_step_budget():
     assert summary.exhausted
     assert summary.steps == 500
     assert summary.phases < 10**6
+    # the summary derives its step count from the cut: the walk's own steps are counted here
+    assert sum(map(len, simulate._walk(_cfg(phases=10**6, max_steps=500), []))) == 500
 
 
 def test_run_deterministic_given_seed():
@@ -385,13 +388,18 @@ def _policy_over(den):
 
 
 def _summary_from_reference(cfg):
-    """run()'s summary, rebuilt from the phase lengths and the steps of the reference re-drive."""
+    """run()'s summary, rebuilt from the phase lengths of the reference re-drive, once the
+    steps _walk yields are counted and match the re-drive's."""
     lengths, t = [], 0
     for step in _replay_with_reference_functions(cfg):
         if step.hamming == 0:
             lengths.append(step.t - t)
             t = step.t
-    return _summarize(cfg, lengths, step.t)
+    # _summarize derives the step count, so the walked count is checked here
+    assert sum(map(len, simulate._walk(cfg, []))) == step.t
+    summary = _summarize(cfg, lengths)
+    assert summary.steps == step.t
+    return summary
 
 
 # numpy warns on a uint64 scalar product that wraps; the kernel's arrays wrap silently
@@ -445,8 +453,9 @@ def test_run_ends_by_the_step_budget_when_no_phase_ends():
         "phases": 10**6, "seed": 26, "max_steps": 5000,
     })
     summary, _ = run(cfg)
-    assert summary == _summarize(cfg, [], 5000)
+    assert summary == _summarize(cfg, [])
     assert (summary.steps, summary.phases, summary.exhausted) == (5000, 0, True)
+    assert sum(map(len, simulate._walk(cfg, []))) == 5000
 
 
 def test_walk_yields_metric_indices_beyond_one_byte():
@@ -498,8 +507,10 @@ def test_gram_table_matches_the_rule(k, adversary):
                 assert ends[mask][code] == end
 
 
+# k = 10 walks by the rule alone: a cut case on that path
 TABLE_CASES = [(k, adversary, policy) for k in range(1, 10) for adversary in ("lower_bound", "n2")
-               for policy in (("uniform", "random", "den") if k > 1 else ("uniform",))]
+               for policy in (("uniform", "random", "den") if k > 1 else ("uniform",))] + [
+    (10, adversary, "uniform") for adversary in ("lower_bound", "n2")]
 
 
 @pytest.mark.filterwarnings("error")
@@ -542,11 +553,12 @@ def test_walk_takes_the_table_up_to_k_9(monkeypatch, k, table):
 def test_walk_past_a_budget_cut_stays_near_the_budget(monkeypatch):
     # no phase at k = 64 ends within the budget, so the first phase walks all of it; the
     # lanes ahead of it walk together about 1/16 of it, plus at most one round
-    drawn = []
+    drawn, outputs = [], []
 
     def counted(den, lanes, width):
         draws, counts = _draws(den, lanes, width)
         drawn.append(len(draws))
+        outputs.append(len(lanes) * width)
         return draws, counts
 
     monkeypatch.setattr(simulate, "_draws", counted)
@@ -555,9 +567,20 @@ def test_walk_past_a_budget_cut_stays_near_the_budget(monkeypatch):
         "k": 64, "n": [3] * 64, "policy": ["1/64"] * 64, "adversary": "lower_bound",
         "phases": 10**6, "seed": 5, "max_steps": max_steps,
     })
-    assert run(cfg)[0] == _summarize(cfg, [], max_steps)
+    lengths = []
+    assert sum(map(len, simulate._walk(cfg, lengths))) == max_steps
+    assert lengths == []
     # den = 64: each PCG64 output gives two draws, one from each 32-bit half
     assert max_steps <= sum(drawn) <= 1.25 * max_steps + 2 * simulate._ROUND_OUTPUTS
+    assert max(outputs) <= simulate._GRID
+    assert run(cfg)[0] == _summarize(cfg, [])
+    # every lane of a 1024-lane block walks its first round, and at k = 4 (phases of about
+    # 64 steps) most lanes walk the rounds after it too, whose outputs a round exceed the
+    # bound of a call
+    for k in (2, 4):
+        outputs.clear()
+        run(_cfg(k=k, n=[3] * k, policy=[f"1/{k}"] * k, phases=1024))
+        assert max(outputs) == simulate._GRID
 
 
 @pytest.mark.parametrize("adversary,n_point", [("lower_bound", 3), ("n2", 2)])
