@@ -26,23 +26,24 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .chains import binary_chain, eet_oracle_table, eet_table, harmonic_chain
 from .harmonic import alpha, alpha_bounds_check, int_to_str, rational_from_str, rational_to_str
-from .potential import verify_trace
+from .potential import _context, _verify_lines
 from .simulate import (
     ConfigError,
     ExperimentConfig,
     MetricSpec,
     StepBudgetExhausted,
-    _replay,
+    _read_header,
+    _replay_lines,
     _summarize,
+    _write_lines,
     estimate_ratio,
     raise_if_exhausted,
-    read_trace_csv,
     run,
-    write_trace_csv,
 )
 from .subsets import (
     MemorylessPolicy,
@@ -194,9 +195,9 @@ def cmd_simulate(args) -> int:
     if config.trace_path and not config.emit_trace:
         raise ConfigError("trace_path is set but emit_trace is not true in the config")
     if config.emit_trace:
-        # one walk: it feeds the trace and records the phase lengths the summary needs
+        # one walk: it feeds the trace's lines and records the phase lengths the summary needs
         lengths: list[int] = []
-        write_trace_csv(_replay(config, lengths), config.trace_path)
+        _write_lines(_replay_lines(config, lengths), config.trace_path)
         summary = _summarize(config, lengths)
     else:
         summary, _ = run(config)
@@ -206,16 +207,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _malformed_if_raises(steps):
-    """Yield a CSV trace's steps as they are parsed; one that fails to parse is malformed."""
-    with _prefixed("malformed trace: "):
-        yield from steps
-
-
 def cmd_verify(args) -> int:
+    # verify_trace(read_trace_csv(path))'s report, each step read as text; a policy the
+    # audit rejects is not a malformed trace
     with _prefixed("malformed trace: "):
-        trace = read_trace_csv(args.trace)
-    report = verify_trace(dataclasses.replace(trace, steps=_malformed_if_raises(trace.steps)))
+        trace = _read_header(args.trace)
+    ctx = _context(trace)
+    with _prefixed("malformed trace: "):
+        report = _verify_lines(trace, ctx)
     _emit_json(report.to_dict(), args.out)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
@@ -286,6 +285,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@cache  # one parser a process: its objects form cycles, which only the cycle collector frees
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gkserver",

@@ -26,7 +26,15 @@ from operator import eq, ne
 
 from .chains import harmonic_eet
 from .harmonic import alpha_table, rational_to_str
-from .simulate import _CACHE_SIZE, _ROW_VALUES, diff_mask
+from .simulate import (
+    _CACHE_SIZE,
+    _CODECS,
+    _ROW_VALUES,
+    MetricSpec,
+    _line_rows,
+    _row_decoder,
+    diff_mask,
+)
 from .subsets import MemorylessPolicy
 
 __all__ = [
@@ -181,39 +189,78 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     checked exactly. Every expected drop is an integer over k, so the
     audit keeps k times each expected quantity as an integer and builds
     the report's fractions once at the end. Every check but the `t` check
-    runs once per distinct (previous configurations, row) pair, in a cache of
-    simulate._CACHE_SIZE pairs; its records get their step's `t` as they
-    are reported. A trace whose steps yield nothing, such as an already
-    consumed stream, raises ValueError.
+    runs once per distinct (previous configurations, row) pair, keyed on
+    their values in a cache of simulate._CACHE_SIZE pairs; its records get
+    their step's `t` as they are reported. `gkserver verify` runs the same
+    checks (_auditor) and report (_report) on the trace file's lines, keyed
+    on their text (_verify_lines). A trace whose steps yield nothing, such
+    as an already consumed stream, raises ValueError.
     """
-    policy = trace.policy
-    if not policy.is_uniform:
-        raise ValueError("trace audit is defined for the uniform policy only")
-    k = trace.k
-    if ctx is None:
-        ctx = PotentialContext.for_k(k)
-    if ctx.k != k:
-        raise ValueError(f"context is for k={ctx.k}, trace has k={k}")
+    ctx = _context(trace, ctx)
+    audit = lru_cache(_CACHE_SIZE)(_auditor(ctx))
 
-    bound = ctx.step_bound
-    h = ctx.h
+    def audited():
+        q_prev, adv_prev = trace.q0, trace.adv0
+        for s in trace.steps:
+            yield s.t, audit(q_prev, adv_prev, *_ROW_VALUES(s))
+            q_prev, adv_prev = s.alg_config, s.adv_config
+
+    return _report(ctx, trace, audited())
+
+
+def _verify_lines(trace, ctx: PotentialContext) -> TraceReport:
+    """verify_trace's report on a trace whose steps are the numbered lines of its file after
+    the column header (simulate._read_header), from a context _context gave.
+
+    Each step is handled as text: the checks of verify_trace run once per
+    distinct pair of the previous step's configurations, as text, and the
+    step's row text, which is parsed and checked as read_trace_csv would at
+    its first step, in a cache of simulate._CACHE_SIZE pairs. A malformed
+    step raises ValueError as read_trace_csv's steps would.
+    """
+    audit = _auditor(ctx)
+    decode = _row_decoder(MetricSpec(n=trace.n))
+    encode_config, decode_config = _CODECS["tuple[int, ...]"]
+
+    last = None, None  # the state the last miss left, and its configurations
+
+    # the state a step leaves is its row's second and third columns: its configurations
+    @lru_cache(_CACHE_SIZE)
+    def pair(state, text):
+        nonlocal last
+        row = decode(text)
+        configs = last[1] if state is last[0] else map(decode_config, state.split(","))
+        last = ",".join(text.split(",", 3)[1:3]), row[1:3]
+        return audit(*configs, *row), last[0]
+
+    start = ",".join(map(encode_config, (trace.q0, trace.adv0)))
+    return _report(ctx, trace, _line_rows(trace.steps, pair, start))
+
+
+def _context(trace, ctx: PotentialContext | None = None) -> PotentialContext:
+    """The context to audit trace with: ctx, or one for its k; the policy must be uniform."""
+    if not trace.policy.is_uniform:
+        raise ValueError("trace audit is defined for the uniform policy only")
+    if ctx is None:
+        ctx = PotentialContext.for_k(trace.k)
+    if ctx.k != trace.k:
+        raise ValueError(f"context is for k={ctx.k}, trace has k={trace.k}")
+    return ctx
+
+
+def _auditor(ctx: PotentialContext):
+    """The checks of one (previous configurations, row) pair, uncached.
+
+    audit(q_prev, adv_prev, *row) gives the t-free records found before
+    the `t` check and after it, the scaled expected and the realized drop
+    (None when the premises fail), the new distance, and the declared
+    policy and adversary costs.
+    """
+    k, h, bound = ctx.k, ctx.h, ctx.step_bound
     drops = _scaled_drops(ctx)
-    phi_start = potential(trace.q0, trace.adv0, ctx)
-    q_prev = trace.q0
-    adv_prev = trace.adv0
-    t_prev = 0
     bits = tuple(1 << i for i in range(k))
     full = (1 << k) - 1
-    expected_total = 0             # k * the sum of expected drops
-    realized_total = 0
-    min_drift: int | None = None   # k * the smallest expected drop
-    violations: list[dict] = []
-    alg_cost = adv_cost = steps = 0
 
-    # the checks of one (previous configurations, row) pair: the t-free records found
-    # before the `t` check and after it, the scaled expected and the realized drop (None
-    # when the premises fail), and the new distance
-    @lru_cache(_CACHE_SIZE)
     def audit(q_prev, adv_prev, r, q, adv, alg_paid, adv_paid, d_declared, mask_declared):
         d_prev = sum(map(ne, q_prev, adv_prev))
         d_mid = sum(map(ne, q_prev, adv))
@@ -244,11 +291,22 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
         if not served:
             after.append({"kind": "request_not_served_by_adversary"})
         drop = (drops[d_mid][served], h[d_mid] - h[d_new]) if served and forced else None
-        return before, tuple(after), drop, d_new
+        return before, tuple(after), drop, d_new, alg_paid, adv_paid
 
-    for steps, s in enumerate(trace.steps, 1):
-        before, after, drop, d_prev = audit(q_prev, adv_prev, *_ROW_VALUES(s))
-        t = s.t
+    return audit
+
+
+def _report(ctx: PotentialContext, trace, audited) -> TraceReport:
+    """The report on trace from (t, audit) of each of its steps, in order."""
+    k, h = ctx.k, ctx.h
+    phi_start = potential(trace.q0, trace.adv0, ctx)
+    t_prev = 0
+    expected_total = 0             # k * the sum of expected drops
+    realized_total = 0
+    min_drift: int | None = None   # k * the smallest expected drop
+    violations: list[dict] = []
+    alg_cost = adv_cost = steps = 0
+    for steps, (t, (before, after, drop, d_prev, alg_paid, adv_paid)) in enumerate(audited, 1):
         if before:
             violations += _stamped(t, before)
         if t != t_prev + 1:
@@ -262,15 +320,15 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
             realized_total += realized
             if min_drift is None or exp_drop < min_drift:
                 min_drift = exp_drop
-        alg_cost += s.alg_cost
-        adv_cost += s.adv_cost
-        q_prev, adv_prev, t_prev = s.alg_config, s.adv_config, t
+        alg_cost += alg_paid
+        adv_cost += adv_paid
+        t_prev = t
     if not steps:
         raise ValueError("trace holds no steps")
 
     phi_end = h[d_prev]
     residual = k * realized_total - expected_total  # k * (realized - expected)
-    bound_holds = k * alg_cost <= k * (bound * adv_cost + phi_start - phi_end) - residual
+    bound_holds = k * alg_cost <= k * (ctx.step_bound * adv_cost + phi_start - phi_end) - residual
     return TraceReport(
         steps=steps,
         alg_cost=alg_cost,

@@ -76,7 +76,8 @@ ADVERSARY_KINDS = ("lower_bound", "n2")
 DEFAULT_MAX_STEPS = 10**9
 # entries in each cache of a trace's distinct configurations, moves, rows and audited
 # step pairs: a run of 200 k steps at k <= 8 has fewer distinct moves, while at k = 64
-# nearly every step is new
+# nearly every step is new, so there each cache costs memory and saves nothing; the
+# reading side of `gkserver verify` keeps one cache, keyed on text
 _CACHE_SIZE = 2**14
 
 
@@ -662,20 +663,20 @@ def _walk(config: ExperimentConfig, lengths: list[int]):
             width = min(2 * width, _ROUND_MAX)
 
 
-def _replay(config: ExperimentConfig, lengths: list[int]) -> Trace:
-    """A run's trace, whose steps come from a fresh walk over the run's seeds.
-
-    The walk appends each finished phase's length to `lengths` as the
-    steps are read.
+def _rows(config: ExperimentConfig, lengths: list[int], encode):
+    """encode(row) of each step's row (its columns after `t`, as values), from a fresh walk
+    over the run's seeds, which appends each finished phase's length to `lengths` as the
+    rows are read.
 
     The adversary's update and request come from its public step
     function, called once per distinct (policy, adversary) configuration
-    pair; each distinct (pair, drawn metric) move is built once. The
-    costs, the Hamming distance and the state mask are read off the
-    configurations. Each cache keeps its _CACHE_SIZE most recent entries.
+    pair; each distinct (pair, drawn metric) move is built, and its row
+    encoded, once. The costs, the Hamming distance and the state mask are
+    read off the configurations. Each cache keeps its _CACHE_SIZE most
+    recent entries.
     """
     spec = config.spec
-    q0 = (0,) * spec.k
+    q0 = q = adv = (0,) * spec.k
     bits = tuple(1 << i for i in range(spec.k))
     if config.adversary == "n2":
         adversary = lru_cache(_CACHE_SIZE)(n2_adversary_step)
@@ -688,16 +689,31 @@ def _replay(config: ExperimentConfig, lengths: list[int]) -> Trace:
         adv_next, r = adversary(q, adv)
         q_next = q[:j] + r[j:j + 1] + q[j + 1:]
         mask = diff_mask(q_next, adv_next, bits)
-        return r, q_next, adv_next, sum(map(ne, adv, adv_next)), mask.bit_count(), mask
+        row = r, q_next, adv_next, 1, sum(map(ne, adv, adv_next)), mask.bit_count(), mask
+        return q_next, adv_next, encode(row)
 
-    def steps():
-        q = adv = q0
-        for t, j in enumerate(chain.from_iterable(_walk(config, lengths)), 1):
-            r, q, adv, adv_cost, hamming, mask = move(q, adv, j)
-            yield TraceStep(t, r, q, adv, 1, adv_cost, hamming, mask)
+    for j in chain.from_iterable(_walk(config, lengths)):
+        q, adv, row = move(q, adv, j)
+        yield row
 
-    return Trace(k=spec.k, n=spec.n, policy=config.policy, adversary=config.adversary,
-                 seed=config.seed, q0=q0, adv0=q0, steps=steps())
+
+def _trace(config: ExperimentConfig, steps) -> Trace:
+    """The trace of a run from the start (0, ..., 0) of both sides, with these steps."""
+    q0 = (0,) * config.spec.k
+    return Trace(k=config.spec.k, n=config.spec.n, policy=config.policy,
+                 adversary=config.adversary, seed=config.seed, q0=q0, adv0=q0, steps=steps)
+
+
+def _replay(config: ExperimentConfig, lengths: list[int]) -> Trace:
+    """A run's trace, whose TraceSteps come from a fresh walk (_rows) as they are read."""
+    rows = _rows(config, lengths, lambda row: row)
+    return _trace(config, (TraceStep(t, *row) for t, row in enumerate(rows, 1)))
+
+
+def _replay_lines(config: ExperimentConfig, lengths: list[int]) -> Trace:
+    """_replay's trace with each step as its line of the trace file: `t,` and its row's text."""
+    rows = _rows(config, lengths, _row_text)
+    return _trace(config, (f"{t},{text}\n" for t, text in enumerate(rows, 1)))
 
 
 def _summarize(config: ExperimentConfig, lengths: list[int]) -> RunSummary:
@@ -771,7 +787,7 @@ def transition_counts(trace: Trace) -> dict[tuple[int, int], int]:
 
 
 # The trace format is Trace's fields other than `steps`, one `# name=value` header line
-# each, then a column header and one row per step of TraceStep's fields. Each field's
+# each, then a column header and one line per step of TraceStep's fields. Each field's
 # annotation (a string, under `from __future__ import annotations`) picks its
 # (encode, decode) pair.
 _CODECS = {
@@ -786,31 +802,56 @@ _CODECS = {
 _HEADER = {f.name: f for f in fields(Trace) if f.name != "steps"}
 _COLUMNS = ",".join(f.name for f in fields(TraceStep))
 # a step's row: its columns after t, which is new at every step, so the caches of the
-# writer, the reader and the audit key on the row's values
+# writer, the reader and the audit key on the row, as values or as text
 _ROW = fields(TraceStep)[1:]
 _ROW_VALUES = attrgetter(*(f.name for f in _ROW))
+_ENCODERS = [_CODECS[f.type][0] for f in _ROW]
+
+
+def _row_text(row) -> str:
+    """The text of a row's values, as its step's line holds it after `t,`."""
+    return ",".join([encode(v) for encode, v in zip(_ENCODERS, row)])
+
+
+def _row_decoder(spec: MetricSpec):
+    """The values of a row's text (a trailing newline aside), each configuration or request
+    checked to be a point of spec's metrics; raises ValueError on a malformed row."""
+    decoders = [_CODECS[f.type][1] for f in _ROW]
+
+    def decode(text):
+        cells = text.rstrip("\n").split(",")
+        if len(cells) != len(_ROW):
+            raise ValueError(f"expected {len(_ROW)} fields after t, got {len(cells)}")
+        values = [parse(cell) for parse, cell in zip(decoders, cells)]
+        for f, value in zip(_ROW, values):
+            if type(value) is tuple:  # a configuration or request: a point of spec's metrics
+                _validate_config_point(spec, value, f.name)
+        return values
+
+    return decode
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Deterministic CSV with a self-describing comment header; consumes trace.steps."""
-    # the text of a row is built once per distinct row
-    @lru_cache(_CACHE_SIZE)
-    def text(row):
-        return ",".join([_CODECS[f.type][0](v) for f, v in zip(_ROW, row)])
+    text = lru_cache(_CACHE_SIZE)(_row_text)  # built once per distinct row
+    lines = (f"{s.t},{text(_ROW_VALUES(s))}\n" for s in trace.steps)
+    _write_lines(replace(trace, steps=lines), path)
 
+
+def _write_lines(trace: Trace, path: str) -> None:
+    """Write trace's header, then its steps, which are the lines of the steps, as they come."""
     with open(path, "w", newline="\n") as fh:
         fh.write("# gkserver-trace v1\n")
         fh.writelines(f"# {name}={_CODECS[f.type][0](getattr(trace, name))}\n"
                       for name, f in _HEADER.items())
         fh.write(_COLUMNS + "\n")
-        fh.writelines(f"{s.t},{text(_ROW_VALUES(s))}\n" for s in trace.steps)
+        fh.writelines(trace.steps)
 
 
 def _numbered_lines(path: str):
-    """(line number, line without its newline) of a UTF-8 file, open while iterated."""
+    """(line number, line) of a UTF-8 file, open while iterated."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            yield lineno, raw.rstrip("\n")
+        yield from enumerate(fh, start=1)
 
 
 def read_trace_csv(path: str) -> Trace:
@@ -821,11 +862,22 @@ def read_trace_csv(path: str) -> Trace:
     header, a repeated or unknown header key (a `#` line without `=` is a
     comment), a header n that does not list k metrics and a configuration
     or request of the wrong width or with a point outside its metric's
-    0..n_i - 1; the error names the first such step.
+    0..n_i - 1; the error names the first such step. A step's `t` is read
+    as int() reads it. Each distinct row text after `t` is parsed and
+    checked once, in a cache of _CACHE_SIZE rows keyed on the text;
+    `gkserver verify` reads the same lines as text (potential._verify_lines).
     """
+    trace = _read_header(path)
+    return replace(trace, steps=_read_steps(trace))
+
+
+def _read_header(path: str) -> Trace:
+    """The header of the trace file at path, checked, as a Trace whose steps are the
+    (line number, line) pairs after the column header, read from the open file."""
     lines = _numbered_lines(path)
     meta: dict[str, str] = {}
     for lineno, line in lines:
+        line = line.rstrip("\n")
         if line == _COLUMNS:
             break
         if line.startswith("#"):
@@ -849,38 +901,66 @@ def read_trace_csv(path: str) -> Trace:
     spec = MetricSpec(n=head["n"])
     _validate_config_point(spec, head["q0"], "q0")
     _validate_config_point(spec, head["adv0"], "adv0")
-    return Trace(**head, steps=_read_steps(lines, spec))
+    return Trace(**head, steps=lines)
 
 
-def _read_steps(lines, spec: MetricSpec):
-    """Yield the steps of the lines after the column header, each checked as it is parsed."""
-    step = None
+def _step_t(lineno: int, line: str) -> int | None:
+    """The `t` of a line after the column header, or None for a blank line.
 
-    def decode(f, text):
-        value = _CODECS[f.type][1](text)
-        # every tuple column is a configuration or request: a point of spec's metrics
-        return _validate_config_point(spec, value, f.name) if type(value) is tuple else value
+    Raises ValueError naming the line for a `#` line, a wrong field count
+    or a `t` that int() does not read, in that order.
+    """
+    line = line.rstrip("\n")
+    if not line:
+        return None
+    if line.startswith("#"):
+        raise ValueError(f"line {lineno}: '#' line after the column header")
+    if line.count(",") != len(_ROW):
+        raise ValueError(f"line {lineno}: expected {len(_ROW) + 1} fields, "
+                         f"got {line.count(',') + 1}")
+    try:
+        return int(line.partition(",")[0])
+    except ValueError as exc:  # not a number, or beyond int()'s digits
+        raise ValueError(f"line {lineno}: {exc}") from exc
 
-    # a row is parsed and checked once per distinct row
-    @lru_cache(_CACHE_SIZE)
-    def row(text):
-        return list(map(decode, _ROW, text.split(",")))
 
+def _read_steps(trace: Trace):
+    """The TraceSteps of the numbered lines trace.steps, each checked as it is parsed."""
+    row = lru_cache(_CACHE_SIZE)(_row_decoder(MetricSpec(n=trace.n)))
+    return (TraceStep(t, *values)
+            for t, values in _line_rows(trace.steps, lambda _, text: (row(text), None), None))
+
+
+def _line_rows(lines, row, state):
+    """Yield (t, value) for each step of the numbered lines after a trace's column header,
+    where value, state = row(state, the row's text): state carries from step to step.
+
+    A step's `t` is compared as text with the number after the previous
+    `t`, and read by int() only when the two differ. row raises ValueError
+    on a malformed row, which is then named by its line, or by its step for
+    a configuration outside its metrics. A trace without steps raises
+    ValueError.
+    """
+    value = None
+    t_next, expected = "1", 1  # the text, and the number, of a consecutive t
     for lineno, line in lines:
-        if not line:
+        t_text, _, text = line.partition(",")
+        if t_text == t_next:
+            t = expected
+        elif (t := _step_t(lineno, line)) is None:
             continue
-        if line.startswith("#"):
-            raise ValueError(f"line {lineno}: '#' line after the column header")
-        if line.count(",") != len(_ROW):
-            raise ValueError(f"line {lineno}: expected {len(_ROW) + 1} fields, "
-                             f"got {line.count(',') + 1}")
-        t, _, rest = line.partition(",")
         try:
-            step = TraceStep(int(t), *row(rest))
-        except ConfigError as exc:  # a bad configuration: name its step as well as its column
-            raise ConfigError(f"step t={int(t)}: {exc}") from exc
-        except ValueError as exc:  # a field that is not a number, or t beyond int()'s digits
+            value, state = row(state, text)
+        except ConfigError as exc:  # a configuration outside its metrics: name its step
+            raise ConfigError(f"step t={t}: {exc}") from exc
+        except ValueError as exc:
+            _step_t(lineno, line)  # a wrong field count raises here, as it would before t
             raise ValueError(f"line {lineno}: {exc}") from exc
-        yield step
-    if step is None:
+        yield t, value
+        expected = t + 1
+        try:
+            t_next = str(expected)
+        except ValueError:  # beyond int()'s digits: no text is equal, int() compares
+            t_next = None
+    if value is None:
         raise ValueError("trace holds no steps")

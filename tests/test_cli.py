@@ -23,6 +23,7 @@ from gkserver.cli import (
     main,
 )
 from gkserver.harmonic import rational_to_str
+from gkserver.potential import verify_trace
 
 
 def run_cli(*argv):
@@ -470,6 +471,59 @@ def test_verify_rejects_header_n_of_another_width(tmp_path, capsys):
     trace.write_text(text.replace("# n=3;3;3\n", "# n=3;3\n"))
     assert run_cli("verify", str(trace)) == EXIT_VALIDATION
     assert "malformed trace" in capsys.readouterr().err
+
+
+_CLEAN_REPORT = "050cdc713cb41b3c8559cb04cb836a7eddd61c25e75a1de3920a4751ec87429f"
+# name -> (step index, its new t text, its new request text or None; exit code, sha256 of
+# stdout, stderr), recorded when every t was read by int(): the reader now compares a t's
+# text with the consecutive number's first, and must keep int()'s meaning and order
+_T_TEXTS = {
+    "plus_sign": ((6, "+7", None), (EXIT_OK, _CLEAN_REPORT, "")),
+    "zero_padded": ((6, "07", None), (EXIT_OK, _CLEAN_REPORT, "")),
+    "leading_space": ((6, " 7", None), (EXIT_OK, _CLEAN_REPORT, "")),
+    "trailing_space": ((6, "7 ", None), (EXIT_OK, _CLEAN_REPORT, "")),
+    "underscore": ((6, "1_0", None), (
+        EXIT_VERIFY, "ee5652e88e17d8582e949c5d88a98cf429983567298601c4e120d02736f73194", "")),
+    # starts with the consecutive number's text, but is another number
+    "consecutive_prefix": ((6, "77", None), (
+        EXIT_VERIFY, "1f6fc580fafde19ecaa4cdebb9953c6d49418043a68b8db1a98fe749f9e5cd68", "")),
+    # the bad t is reported first, as int(t) raised before the row was parsed
+    "bad_t_and_request": ((6, "x7", "0;5;0"), (
+        EXIT_VALIDATION, hashlib.sha256(b"").hexdigest(),
+        "error: malformed trace: line 16: invalid literal for int() with base 10: 'x7'\n")),
+    "spaced_t_and_bad_request": ((6, "7 ", "0;5;0"), (
+        EXIT_VALIDATION, hashlib.sha256(b"").hexdigest(),
+        "error: malformed trace: step t=7: request coordinate 2 = 5 outside 0..2\n")),
+    # the last t has int()'s 4300 digits at most; the number after it has more
+    "digit_limit_last": ((-1, "9" * 4300, None), (
+        EXIT_VERIFY, "2ca838cc12a400aa9b7395810877587c816e503fb3d03ff782e9eb7e3560ec4a", "")),
+    "digit_limit_then_step": ((-2, "9" * 4300, None), (
+        EXIT_VALIDATION, hashlib.sha256(b"").hexdigest(),
+        "error: Exceeds the limit (4300 digits) for integer string conversion; "
+        "use sys.set_int_max_str_digits() to increase the limit\n")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_T_TEXTS))
+def test_verify_reads_t_as_int_does(name, tmp_path, capsys):
+    (index, t, request), expected = _T_TEXTS[name]
+    cfg = simulate.ExperimentConfig.from_dict({
+        "k": 3, "n": [3] * 3, "policy": ["1/3"] * 3, "adversary": "lower_bound",
+        "phases": 20, "seed": 5, "emit_trace": True})
+    trace = tmp_path / "t.csv"
+    simulate.write_trace_csv(simulate.run(cfg)[1], str(trace))
+    lines = trace.read_text().splitlines()
+    i = 9 + index if index >= 0 else len(lines) + index
+    cells = lines[i].split(",")
+    cells[0] = t
+    cells[1] = request or cells[1]
+    lines[i] = ",".join(cells)
+    trace.write_text("\n".join(lines) + "\n")
+    code = run_cli("verify", str(trace))
+    out, err = capsys.readouterr()
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == expected
+    if code != EXIT_VALIDATION:  # the library reads t with int() alone
+        assert json.loads(out) == verify_trace(simulate.read_trace_csv(str(trace))).to_dict()
 
 
 # a common denominator of 2^64 - 59 cannot be drawn by int64 generators

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkserver.chains import harmonic_eet
-from gkserver.cli import EXIT_VERIFY, main
+from gkserver.cli import EXIT_OK, EXIT_VERIFY, main
 from gkserver.harmonic import alpha, alpha_table
 from gkserver.potential import (
     PotentialContext,
@@ -492,3 +492,54 @@ def test_blank_lines_between_steps_leave_the_report_unchanged(tmp_path):
                       + "\n")
     assert (verify_trace(read_trace_csv(str(spaced))).to_dict()
             == verify_trace(read_trace_csv(str(clean))).to_dict())
+
+
+def _cli_and_library_reports(path, capsys):
+    """gkserver verify's exit code and JSON report, and the library's report dict."""
+    code = main(["verify", str(path)])
+    return code, json.loads(capsys.readouterr().out), verify_trace(
+        read_trace_csv(str(path))).to_dict()
+
+
+# `gkserver verify` reads each step as text, the library as a TraceStep: one audit
+# body must give both the same report
+@pytest.mark.parametrize("kind", sorted(_TAMPERS))
+def test_cli_and_library_reports_agree_on_tampered_traces(kind, tmp_path, capsys):
+    trace = _uniform_trace(3, 50, seed=21)
+    trace.steps = list(trace.steps)  # a one-pass stream: keep it to index and re-read
+    index, changes = _TAMPERS[kind](trace)
+    trace.steps[index] = dataclasses.replace(trace.steps[index], **changes)
+    path = tmp_path / "t.csv"
+    write_trace_csv(trace, str(path))
+    code, cli_report, library_report = _cli_and_library_reports(path, capsys)
+    assert code == EXIT_VERIFY
+    assert cli_report == library_report
+
+
+@pytest.mark.parametrize("column", sorted(_COLUMN_KINDS))
+def test_cli_and_library_reports_agree_on_edited_columns(column, tmp_path, capsys):
+    trace = _uniform_trace(2, 30, seed=3)
+    trace.steps = list(trace.steps)  # a one-pass stream: keep it to index and re-read
+    for index in (0, len(trace.steps) // 2, len(trace.steps) - 1):
+        s = trace.steps[index]
+        trace.steps[index] = dataclasses.replace(s, **{column: getattr(s, column) + 2})
+    path = tmp_path / "t.csv"
+    write_trace_csv(trace, str(path))
+    code, cli_report, library_report = _cli_and_library_reports(path, capsys)
+    assert code == EXIT_VERIFY
+    assert _COLUMN_KINDS[column] in {v["kind"] for v in cli_report["hard_violations"]}
+    assert cli_report == library_report
+
+
+def test_cli_and_library_reports_agree_where_no_row_repeats(tmp_path, capsys):
+    # at k = 64 no (previous row, row) pair repeats, so every step misses the audit's caches
+    cfg = ExperimentConfig.from_dict({
+        "k": 64, "n": [3] * 64, "policy": ["1/64"] * 64, "adversary": "lower_bound",
+        "phases": 10**6, "seed": 5, "max_steps": 2000, "emit_trace": True})
+    path = tmp_path / "t.csv"
+    write_trace_csv(run(cfg)[1], str(path))
+    rows = [line.partition(",")[2] for line in path.read_text().splitlines()[9:]]
+    assert len(set(zip([None] + rows, rows))) == len(rows) == 2000
+    code, cli_report, library_report = _cli_and_library_reports(path, capsys)
+    assert code == EXIT_OK
+    assert cli_report == library_report

@@ -6,10 +6,12 @@ same summary floats, byte-identical trace CSV).
 """
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from gkserver.cli import EXIT_BUDGET, EXIT_OK, main
 from gkserver.simulate import ExperimentConfig, run, write_trace_csv
 
 
@@ -127,3 +129,16 @@ def test_trace_csv_golden_sha256(name, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
     # the trace-less run draws the same summary
     assert run(ExperimentConfig.from_dict({**d, "emit_trace": False}))[0] == summary
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_SHA256))
+def test_cli_trace_golden_sha256(name, tmp_path, capsys):
+    # gkserver simulate writes each step's line from its row's text, without a TraceStep
+    d, digest = TRACE_SHA256[name]
+    path = tmp_path / "trace.csv"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**d, "trace_path": str(path)}))
+    summary, _ = run(ExperimentConfig.from_dict({**d, "emit_trace": False}))
+    assert main(["simulate", str(config)]) == (EXIT_BUDGET if summary.exhausted else EXIT_OK)
+    assert json.loads(capsys.readouterr().out) == summary.to_dict()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
