@@ -21,20 +21,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import eq, ne
 
 from .chains import harmonic_eet
 from .harmonic import alpha_table, rational_to_str
-from .simulate import (
-    _CACHE_SIZE,
-    _CODECS,
-    _ROW_VALUES,
-    MetricSpec,
-    _line_rows,
-    _row_decoder,
-    diff_mask,
-)
+from .simulate import _audited_lines, _audited_steps, diff_mask
 from .subsets import MemorylessPolicy
 
 __all__ = [
@@ -189,52 +180,20 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     checked exactly. Every expected drop is an integer over k, so the
     audit keeps k times each expected quantity as an integer and builds
     the report's fractions once at the end. Every check but the `t` check
-    runs once per distinct (previous configurations, row) pair, keyed on
-    their values in a cache of simulate._CACHE_SIZE pairs; its records get
-    their step's `t` as they are reported. `gkserver verify` runs the same
-    checks (_auditor) and report (_report) on the trace file's lines, keyed
-    on their text (_verify_lines). A trace whose steps yield nothing, such
-    as an already consumed stream, raises ValueError.
+    runs once per distinct (previous configurations, row) pair
+    (simulate._audited_steps); its records get their step's `t` as they
+    are reported. `gkserver verify` runs the same checks and report on the
+    trace file's lines (_verify_lines). A trace whose steps yield nothing,
+    such as an already consumed stream, raises ValueError.
     """
     ctx = _context(trace, ctx)
-    audit = lru_cache(_CACHE_SIZE)(_auditor(ctx))
-
-    def audited():
-        q_prev, adv_prev = trace.q0, trace.adv0
-        for s in trace.steps:
-            yield s.t, audit(q_prev, adv_prev, *_ROW_VALUES(s))
-            q_prev, adv_prev = s.alg_config, s.adv_config
-
-    return _report(ctx, trace, audited())
+    return _report(ctx, trace, _audited_steps(trace, _auditor(ctx)))
 
 
 def _verify_lines(trace, ctx: PotentialContext) -> TraceReport:
-    """verify_trace's report on a trace whose steps are the numbered lines of its file after
-    the column header (simulate._read_header), from a context _context gave.
-
-    Each step is handled as text: the checks of verify_trace run once per
-    distinct pair of the previous step's configurations, as text, and the
-    step's row text, which is parsed and checked as read_trace_csv would at
-    its first step, in a cache of simulate._CACHE_SIZE pairs. A malformed
-    step raises ValueError as read_trace_csv's steps would.
-    """
-    audit = _auditor(ctx)
-    decode = _row_decoder(MetricSpec(n=trace.n))
-    encode_config, decode_config = _CODECS["tuple[int, ...]"]
-
-    last = None, None  # the state the last miss left, and its configurations
-
-    # the state a step leaves is its row's second and third columns: its configurations
-    @lru_cache(_CACHE_SIZE)
-    def pair(state, text):
-        nonlocal last
-        row = decode(text)
-        configs = last[1] if state is last[0] else map(decode_config, state.split(","))
-        last = ",".join(text.split(",", 3)[1:3]), row[1:3]
-        return audit(*configs, *row), last[0]
-
-    start = ",".join(map(encode_config, (trace.q0, trace.adv0)))
-    return _report(ctx, trace, _line_rows(trace.steps, pair, start))
+    """verify_trace's report, from a context _context gave, on a trace whose steps are the
+    numbered lines of its file after the column header, read as text (simulate._audited_lines)."""
+    return _report(ctx, trace, _audited_lines(trace, _auditor(ctx)))
 
 
 def _context(trace, ctx: PotentialContext | None = None) -> PotentialContext:

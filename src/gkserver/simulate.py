@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, chain, compress, count, permutations, product
 from math import sqrt
-from operator import attrgetter, length_hint, lt, ne
+from operator import attrgetter, itemgetter, length_hint, lt, ne
 
 import numpy as np
 
@@ -77,7 +77,7 @@ DEFAULT_MAX_STEPS = 10**9
 # entries in each cache of a trace's distinct configurations, moves, rows and audited
 # step pairs: a run of 200 k steps at k <= 8 has fewer distinct moves, while at k = 64
 # nearly every step is new, so there each cache costs memory and saves nothing; the
-# reading side of `gkserver verify` keeps one cache, keyed on text
+# reading side of `gkserver verify` keeps one cache, keyed on text (_audited_lines)
 _CACHE_SIZE = 2**14
 
 
@@ -589,7 +589,7 @@ def _walk(config: ExperimentConfig, lengths: list[int]):
         n = len(lanes)
         masks, walked, held = [1 << (k - 1)] * n, [0] * n, [array(index.char) for _ in range(n)]
         head = sent = 0  # the first unfinished lane, and its steps yielded so far
-        live, width = list(range(n)), _ROUND_MIN
+        live, width = list(range(1, n)), _ROUND_MIN  # the lanes after head that may walk
         while True:
             while head < n and not masks[head] and walked[head] <= room:
                 yield held[head]
@@ -610,11 +610,9 @@ def _walk(config: ExperimentConfig, lengths: list[int]):
             if before[-1] - before[1] < room // _AHEAD:
                 # lane j may walk room - before[j - head] steps: those left once the lanes
                 # from head to the one before j have walked theirs
-                live = [j for j in live
-                        if masks[j] and walked[j] < min(_LEAD, room - before[j - head])]
-                if live[:1] != [head]:
-                    live.insert(0, head)
-                walking = live
+                live = [j for j in live if j > head and masks[j]
+                        and walked[j] < min(_LEAD, room - before[j - head])]
+                walking = [head, *live]
             else:
                 walking = [head]
             outputs = min(width, _ROUND_OUTPUTS // len(walking))
@@ -805,6 +803,8 @@ _COLUMNS = ",".join(f.name for f in fields(TraceStep))
 # writer, the reader and the audit key on the row, as values or as text
 _ROW = fields(TraceStep)[1:]
 _ROW_VALUES = attrgetter(*(f.name for f in _ROW))
+# the policy's and the adversary's configuration among a row's columns
+_CONFIGS = itemgetter(*(i for i, f in enumerate(_ROW) if f.name in ("alg_config", "adv_config")))
 _ENCODERS = [_CODECS[f.type][0] for f in _ROW]
 
 
@@ -865,7 +865,7 @@ def read_trace_csv(path: str) -> Trace:
     0..n_i - 1; the error names the first such step. A step's `t` is read
     as int() reads it. Each distinct row text after `t` is parsed and
     checked once, in a cache of _CACHE_SIZE rows keyed on the text;
-    `gkserver verify` reads the same lines as text (potential._verify_lines).
+    `gkserver verify` reads the same lines as text (_audited_lines).
     """
     trace = _read_header(path)
     return replace(trace, steps=_read_steps(trace))
@@ -964,3 +964,37 @@ def _line_rows(lines, row, state):
             t_next = None
     if value is None:
         raise ValueError("trace holds no steps")
+
+
+def _audited_steps(trace: Trace, audit):
+    """Yield (t, audit(q_prev, adv_prev, *row)) for each TraceStep of trace, where q_prev and
+    adv_prev are the step before's configurations; audit is cached on the values of each
+    distinct (q_prev, adv_prev, row), _CACHE_SIZE of them."""
+    audit = lru_cache(_CACHE_SIZE)(audit)
+    q_prev, adv_prev = trace.q0, trace.adv0
+    for s in trace.steps:
+        yield s.t, audit(q_prev, adv_prev, *_ROW_VALUES(s))
+        q_prev, adv_prev = s.alg_config, s.adv_config
+
+
+def _audited_lines(trace: Trace, audit):
+    """_audited_steps' pairs for a trace whose steps are the numbered lines of its file after
+    the column header (_read_header), with audit cached on the text of the step before's
+    configurations and of the row. A row is parsed and checked as read_trace_csv would at
+    its first step, and a malformed step raises ValueError as read_trace_csv's steps would."""
+    decode = _row_decoder(MetricSpec(n=trace.n))
+    encode_config, decode_config = _CODECS["tuple[int, ...]"]
+
+    last = None, None  # the state the last miss left, and its configurations
+
+    # the state a step leaves is its configurations: the text of their columns
+    @lru_cache(_CACHE_SIZE)
+    def pair(state, text):
+        nonlocal last
+        row = decode(text)
+        configs = last[1] if state is last[0] else map(decode_config, state.split(","))
+        last = ",".join(_CONFIGS(text.split(","))), _CONFIGS(row)
+        return audit(*configs, *row), last[0]
+
+    start = ",".join(map(encode_config, (trace.q0, trace.adv0)))
+    return _line_rows(trace.steps, pair, start)

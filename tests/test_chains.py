@@ -21,6 +21,19 @@ from gkserver.chains import (
 from gkserver.harmonic import alpha_table
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: BirthDeathChain((Fraction(0),), (Fraction(1), Fraction(1))),
+     "up and down must be equal-length, non-empty"),
+    (lambda: BirthDeathChain((), ()), "up and down must be equal-length, non-empty"),
+    (lambda: binary_eet(0, 0), "need k >= 1, got 0"),
+])
+def test_input_checks_raise_their_messages(make, message):
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert raised.type is ValueError
+    assert str(raised.value) == message
+
+
 def test_harmonic_chain_probabilities():
     c = harmonic_chain(2)
     assert c.down == (Fraction(1, 2), Fraction(1, 2))

@@ -23,6 +23,17 @@ from gkserver.harmonic import (
 ALPHA_HEAD = [1, 2, 5, 16, 65]
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: alpha_table(0), "alpha_table needs max_ell >= 1, got 0"),
+    (lambda: e_over_approximation(0), "need at least one series term"),
+])
+def test_input_checks_raise_their_messages(make, message):
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert raised.type is ValueError
+    assert str(raised.value) == message
+
+
 def test_alpha_small_values():
     assert [alpha(l) for l in range(1, 6)] == ALPHA_HEAD
 

@@ -40,6 +40,23 @@ def test_hamming():
         hamming((0, 0), (0,))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: PotentialContext.for_k(0), "need k >= 1, got 0"),
+    (lambda: potential((0, 0), (1, 1), PotentialContext.for_k(3)),
+     "configurations have 2 coordinates, context is for k=3"),
+    (lambda: expected_drift((0, 0), (1, 1), (1, 1), MemorylessPolicy.uniform(2),
+                            PotentialContext.for_k(3)),
+     "q, adv, r, and context must all describe the same k metrics"),
+    (lambda: verify_trace(_uniform_trace(3, 1, 0), PotentialContext.for_k(2)),
+     "context is for k=2, trace has k=3"),
+])
+def test_input_checks_raise_their_messages(make, message):
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert raised.type is ValueError
+    assert str(raised.value) == message
+
+
 def test_potential_values():
     ctx2 = PotentialContext.for_k(2)
     assert potential((0, 1), (0, 1), ctx2) == 0
@@ -528,6 +545,17 @@ def test_cli_and_library_reports_agree_on_edited_columns(column, tmp_path, capsy
     code, cli_report, library_report = _cli_and_library_reports(path, capsys)
     assert code == EXIT_VERIFY
     assert _COLUMN_KINDS[column] in {v["kind"] for v in cli_report["hard_violations"]}
+    assert cli_report == library_report
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_REPORTS))
+def test_cli_and_library_reports_agree_on_golden_traces(name, tmp_path, capsys):
+    (k, adversary, phases, seed), digest = _GOLDEN_REPORTS[name]
+    path = tmp_path / "t.csv"
+    write_trace_csv(_uniform_trace(k, phases, seed, adversary), str(path))
+    code, cli_report, library_report = _cli_and_library_reports(path, capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(json.dumps(cli_report, sort_keys=True).encode()).hexdigest() == digest
     assert cli_report == library_report
 
 

@@ -1,6 +1,7 @@
 """Simulation engine: adversary steps, runs, traces, determinism, histograms."""
 
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkserver import simulate
+from gkserver.cli import EXIT_VALIDATION, main
 from gkserver.simulate import (
     TraceStep,
     ConfigError,
@@ -65,6 +67,25 @@ def test_config_validation_messages():
         _cfg(phases=0)
     with pytest.raises(ConfigError, match="seed"):
         _cfg(seed=-1)
+    with pytest.raises(ConfigError, match=r"^policy covers 2 metrics but n lists 3$"):
+        ExperimentConfig(MetricSpec((3, 3, 3)), MemorylessPolicy.uniform(2), "lower_bound", 1, 0)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", [3, 3, 3], "n must list exactly k=2 point counts, got [3, 3, 3]"),
+    ("policy", ["1"], "policy must list exactly k=2 rationals, got ['1']"),
+])
+def test_config_lists_must_hold_k_entries(key, value, message, tmp_path, capsys):
+    config = {"k": 2, "n": [3, 3], "policy": ["1/2", "1/2"], "adversary": "lower_bound",
+              "phases": 2, "seed": 0, key: value}
+    with pytest.raises(ConfigError) as raised:
+        ExperimentConfig.from_dict(config)
+    assert raised.type is ConfigError
+    assert str(raised.value) == message
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_config_canonicalizes_policy_and_n_together():
@@ -153,6 +174,7 @@ def test_lower_bound_adversary_rejects_two_point_metrics():
 
 
 N333 = MetricSpec(n=(3, 3, 3))
+UNIFORM2 = MemorylessPolicy.uniform(2)
 
 
 @pytest.mark.parametrize("step, args, error, message", [
@@ -169,11 +191,14 @@ N333 = MetricSpec(n=(3, 3, 3))
     (lower_bound_adversary_step, ((0, 0, 0), (0, 0, 0), (0,), N333), ConfigError,
      "q0 has 1 coordinates, expected 3"),
     (n2_adversary_step, ((), ()), ValueError, "configurations need at least one coordinate"),
+    (memoryless_step, ((0, 0), (1,), UNIFORM2, PolicySampler(UNIFORM2, (0, 0))), ValueError,
+     "configuration and request must have one coordinate per metric"),
 ], ids=["lb_point_outside", "lb_narrow", "lb_negative", "n2_shorter_q", "n2_longer_q",
-        "lb_q0_outside", "lb_q0_narrow", "n2_empty"])
+        "lb_q0_outside", "lb_q0_narrow", "n2_empty", "policy_narrow_r"])
 def test_adversary_steps_reject_bad_configurations(step, args, error, message):
     with pytest.raises(error) as exc:
         step(*args)
+    assert exc.type is error
     assert str(exc.value) == message
 
 
@@ -441,6 +466,14 @@ def test_run_matches_a_policy_sampler_redrive(den):
 @pytest.mark.filterwarnings("error")
 def test_run_matches_a_policy_sampler_redrive_across_three_blocks():
     cfg = _cfg(phases=2100, seed=2**32 + 11)
+    assert run(cfg)[0] == _summary_from_reference(cfg)
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_matches_a_policy_sampler_redrive_where_a_lane_walks_its_lead_ahead():
+    # here a lane walks _LEAD steps while a phase before it still runs, so it stops walking
+    # ahead; once it is the first unfinished lane it must walk on to its phase's end
+    cfg = _cfg(k=6, n=[3] * 6, policy=["1/6"] * 6, phases=20, seed=2)
     assert run(cfg)[0] == _summary_from_reference(cfg)
 
 

@@ -30,6 +30,22 @@ from gkserver.subsets import (
 HALF = Fraction(1, 2)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: MemorylessPolicy((Fraction(1, 3), Fraction(2, 3)), (0, 1)),
+     "canonical order violated (must be descending)"),
+    (lambda: MemorylessPolicy((HALF, HALF), (0, 0)),
+     "source_order must be a permutation of 0..k-1"),
+    (lambda: MemorylessPolicy.uniform(0), "need k >= 1, got 0"),
+    (lambda: solve_system(MemorylessPolicy.uniform(2), "iterative", tolerance=0),
+     "tolerance must be positive"),
+])
+def test_input_checks_raise_their_messages(make, message):
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert raised.type is ValueError
+    assert str(raised.value) == message
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         MemorylessPolicy.from_probs([HALF, HALF, Fraction(0)])
