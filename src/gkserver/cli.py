@@ -23,7 +23,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
@@ -38,9 +37,7 @@ from .simulate import (
     MetricSpec,
     StepBudgetExhausted,
     _read_header,
-    _replay_lines,
-    _summarize,
-    _write_lines,
+    _write_run,
     estimate_ratio,
     raise_if_exhausted,
     run,
@@ -194,13 +191,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError("emit_trace is set but trace_path is missing from the config")
     if config.trace_path and not config.emit_trace:
         raise ConfigError("trace_path is set but emit_trace is not true in the config")
-    if config.emit_trace:
-        # one walk: it feeds the trace's lines and records the phase lengths the summary needs
-        lengths: list[int] = []
-        _write_lines(_replay_lines(config, lengths), config.trace_path)
-        summary = _summarize(config, lengths)
-    else:
-        summary, _ = run(config)
+    summary = _write_run(config, config.trace_path) if config.emit_trace else run(config)[0]
     out_path = args.out or config.summary_path
     _emit_json(summary.to_dict(), out_path)
     raise_if_exhausted(config, summary)
@@ -272,6 +263,10 @@ def cmd_sweep(args) -> int:
     payloads = [(spec, args.k, args.phases, args.seed or 0, i)
                 for i, spec in enumerate(specs)]
     if args.jobs > 1:
+        # imported here, as only a sweep with workers needs it: the pool's modules would
+        # add to the start-up time of every command
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(payloads))) as pool:
             results = list(pool.map(_sweep_cell, payloads))
     else:

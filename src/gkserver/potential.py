@@ -184,7 +184,9 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     (simulate._audited_steps); its records get their step's `t` as they
     are reported. `gkserver verify` runs the same checks and report on the
     trace file's lines (_verify_lines). A trace whose steps yield nothing,
-    such as an already consumed stream, raises ValueError.
+    such as an already consumed stream, raises ValueError; a point outside
+    its metric, or a configuration of another width, raises the ConfigError
+    that read_trace_csv's steps raise for it.
     """
     ctx = _context(trace, ctx)
     return _report(ctx, trace, _audited_steps(trace, _auditor(ctx)))

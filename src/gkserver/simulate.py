@@ -39,10 +39,10 @@ from collections import Counter, deque
 from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate, chain, compress, count, permutations, product
 from math import sqrt
-from operator import attrgetter, itemgetter, length_hint, lt, ne
+from operator import attrgetter, itemgetter, length_hint, ne
 
 import numpy as np
 
@@ -106,12 +106,20 @@ class MetricSpec:
     def k(self) -> int:
         return len(self.n)
 
+    @cached_property
+    def _smallest(self) -> int:
+        """The size of the smallest metric: points 0.._smallest - 1 lie in every metric."""
+        return min(self.n)
+
 
 def _validate_config_point(spec: MetricSpec, cfg, what: str):
     """cfg, once it is checked to be a point of spec's metrics; what names it in an error."""
     if len(cfg) != spec.k:
         raise ConfigError(f"{what} has {len(cfg)} coordinates, expected {spec.k}")
-    if min(cfg) < 0 or not all(map(lt, cfg, spec.n)):
+    # a point inside every metric passes on its few distinct coordinates, in C-level passes;
+    # others go coordinate by coordinate
+    distinct = set(cfg)
+    if min(distinct) < 0 or max(distinct) >= spec._smallest:
         for i, (x, ni) in enumerate(zip(cfg, spec.n), start=1):
             if not 0 <= x < ni:
                 raise ConfigError(f"{what} coordinate {i} = {x} outside 0..{ni - 1}")
@@ -273,7 +281,7 @@ def lower_bound_adversary_step(q_prev, adv_prev, q0, spec: MetricSpec):
     deterministic.
     """
     k = spec.k
-    if min(spec.n) < 3:
+    if spec._smallest < 3:
         raise ConfigError(
             f"lower_bound adversary needs >= 3 points in every metric, got n={list(spec.n)}"
         )
@@ -708,10 +716,13 @@ def _replay(config: ExperimentConfig, lengths: list[int]) -> Trace:
     return _trace(config, (TraceStep(t, *row) for t, row in enumerate(rows, 1)))
 
 
-def _replay_lines(config: ExperimentConfig, lengths: list[int]) -> Trace:
-    """_replay's trace with each step as its line of the trace file: `t,` and its row's text."""
+def _write_run(config: ExperimentConfig, path: str) -> RunSummary:
+    """Walk a run once: write its trace to path, each step's line built from its row's text
+    as the walk yields it, and return the run's summary."""
+    lengths: list[int] = []
     rows = _rows(config, lengths, _row_text)
-    return _trace(config, (f"{t},{text}\n" for t, text in enumerate(rows, 1)))
+    _write_lines(_trace(config, (f"{t},{text}\n" for t, text in enumerate(rows, 1))), path)
+    return _summarize(config, lengths)
 
 
 def _summarize(config: ExperimentConfig, lengths: list[int]) -> RunSummary:
@@ -822,13 +833,17 @@ def _row_decoder(spec: MetricSpec):
         cells = text.rstrip("\n").split(",")
         if len(cells) != len(_ROW):
             raise ValueError(f"expected {len(_ROW)} fields after t, got {len(cells)}")
-        values = [parse(cell) for parse, cell in zip(decoders, cells)]
-        for f, value in zip(_ROW, values):
-            if type(value) is tuple:  # a configuration or request: a point of spec's metrics
-                _validate_config_point(spec, value, f.name)
-        return values
+        return _check_points(spec, [parse(cell) for parse, cell in zip(decoders, cells)])
 
     return decode
+
+
+def _check_points(spec: MetricSpec, row):
+    """row, once its configurations and request are checked to be points of spec's metrics."""
+    for f, value in zip(_ROW, row):
+        if type(value) is tuple:
+            _validate_config_point(spec, value, f.name)
+    return row
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
@@ -868,7 +883,9 @@ def read_trace_csv(path: str) -> Trace:
     `gkserver verify` reads the same lines as text (_audited_lines).
     """
     trace = _read_header(path)
-    return replace(trace, steps=_read_steps(trace))
+    row = lru_cache(_CACHE_SIZE)(_row_decoder(MetricSpec(n=trace.n)))
+    steps = _line_rows(trace.steps, lambda _, text: (row(text), None), None)
+    return replace(trace, steps=(TraceStep(t, *values) for t, values in steps))
 
 
 def _read_header(path: str) -> Trace:
@@ -924,13 +941,6 @@ def _step_t(lineno: int, line: str) -> int | None:
         raise ValueError(f"line {lineno}: {exc}") from exc
 
 
-def _read_steps(trace: Trace):
-    """The TraceSteps of the numbered lines trace.steps, each checked as it is parsed."""
-    row = lru_cache(_CACHE_SIZE)(_row_decoder(MetricSpec(n=trace.n)))
-    return (TraceStep(t, *values)
-            for t, values in _line_rows(trace.steps, lambda _, text: (row(text), None), None))
-
-
 def _line_rows(lines, row, state):
     """Yield (t, value) for each step of the numbered lines after a trace's column header,
     where value, state = row(state, the row's text): state carries from step to step.
@@ -969,11 +979,18 @@ def _line_rows(lines, row, state):
 def _audited_steps(trace: Trace, audit):
     """Yield (t, audit(q_prev, adv_prev, *row)) for each TraceStep of trace, where q_prev and
     adv_prev are the step before's configurations; audit is cached on the values of each
-    distinct (q_prev, adv_prev, row), _CACHE_SIZE of them."""
-    audit = lru_cache(_CACHE_SIZE)(audit)
-    q_prev, adv_prev = trace.q0, trace.adv0
+    distinct (q_prev, adv_prev, row), _CACHE_SIZE of them. q0, adv0 and each distinct row's
+    points are checked as read_trace_csv checks them, and a bad one raises its ConfigError."""
+    spec = MetricSpec(n=trace.n)
+    q_prev = _validate_config_point(spec, trace.q0, "q0")
+    adv_prev = _validate_config_point(spec, trace.adv0, "adv0")
+    checked = lru_cache(_CACHE_SIZE)(lambda q, adv, *row: audit(q, adv, *_check_points(spec, row)))
     for s in trace.steps:
-        yield s.t, audit(q_prev, adv_prev, *_ROW_VALUES(s))
+        try:
+            value = checked(q_prev, adv_prev, *_ROW_VALUES(s))
+        except ConfigError as exc:  # as _line_rows names the step of a point outside its metric
+            raise ConfigError(f"step t={s.t}: {exc}") from exc
+        yield s.t, value
         q_prev, adv_prev = s.alg_config, s.adv_config
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkserver.chains import harmonic_eet
-from gkserver.cli import EXIT_OK, EXIT_VERIFY, main
+from gkserver.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VERIFY, main
 from gkserver.harmonic import alpha, alpha_table
 from gkserver.potential import (
     PotentialContext,
@@ -24,6 +24,7 @@ from gkserver.potential import (
 )
 from gkserver.simulate import (
     ADVERSARY_KINDS,
+    ConfigError,
     ExperimentConfig,
     read_trace_csv,
     run,
@@ -571,3 +572,48 @@ def test_cli_and_library_reports_agree_where_no_row_repeats(tmp_path, capsys):
     code, cli_report, library_report = _cli_and_library_reports(path, capsys)
     assert code == EXIT_OK
     assert cli_report == library_report
+
+
+def _each_step(edit):
+    return lambda trace: dataclasses.replace(trace, steps=[edit(s) for s in trace.steps])
+
+
+def _seven(cfg):
+    return tuple(7 if x == 2 else x for x in cfg)
+
+
+_CONFIG_COLUMNS = ("request", "alg_config", "adv_config")
+# name -> (edit of a k = 3, 20-phase trace of seed 1, the ConfigError message it must raise)
+_BAD_POINTS = {
+    "point_outside_metric": (_each_step(lambda s: dataclasses.replace(
+        s, **{c: _seven(getattr(s, c)) for c in _CONFIG_COLUMNS})),
+        "step t=2: request coordinate 3 = 7 outside 0..2"),
+    "narrow_alg_config": (_each_step(lambda s: dataclasses.replace(
+        s, alg_config=s.alg_config[:2])), "step t=1: alg_config has 2 coordinates, expected 3"),
+    "wide_configurations": (_each_step(lambda s: dataclasses.replace(
+        s, **{c: getattr(s, c) + (0,) for c in _CONFIG_COLUMNS})),
+        "step t=1: request has 4 coordinates, expected 3"),
+    "q0_outside_metric": (lambda trace: dataclasses.replace(trace, q0=(0, 7, 0)),
+                          "q0 coordinate 2 = 7 outside 0..2"),
+}
+
+
+# an audit must not read a point outside its metric, nor a configuration of another width:
+# the in-memory trace, its file's steps, their audit and `gkserver verify` raise one message
+@pytest.mark.parametrize("name", sorted(_BAD_POINTS))
+def test_bad_points_raise_one_message_in_memory_from_a_file_and_in_the_cli(name, tmp_path,
+                                                                          capsys):
+    edit, message = _BAD_POINTS[name]
+    trace = edit(_uniform_trace(3, 20, seed=1))
+    trace.steps = list(trace.steps)
+    path = str(tmp_path / "t.csv")
+    write_trace_csv(trace, path)
+    raised = []
+    for check in (lambda: verify_trace(trace), lambda: list(read_trace_csv(path).steps),
+                  lambda: verify_trace(read_trace_csv(path))):
+        with pytest.raises(ConfigError) as exc:
+            check()
+        raised.append(str(exc.value))
+    assert raised == [message] * 3
+    assert main(["verify", path]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: malformed trace: {message}\n"

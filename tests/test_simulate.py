@@ -32,7 +32,8 @@ from gkserver.simulate import (
     write_trace_csv,
 )
 from gkserver.harmonic import exact_thresholds
-from gkserver.simulate import _draws, _phase_lanes, _summarize
+from gkserver.potential import verify_trace
+from gkserver.simulate import _draws, _phase_lanes, _summarize, _validate_config_point
 from gkserver.subsets import MemorylessPolicy
 
 
@@ -200,6 +201,38 @@ def test_adversary_steps_reject_bad_configurations(step, args, error, message):
         step(*args)
     assert exc.type is error
     assert str(exc.value) == message
+
+
+def test_points_beyond_the_smallest_metric_are_checked_per_metric():
+    # 4 lies outside the 3-point metric but inside the 5-point one
+    spec = MetricSpec(n=(5, 3))
+    assert lower_bound_adversary_step((4, 0), (4, 1), (0, 0), spec) == ((4, 1), (0, 1))
+    for q_prev, message in (((5, 0), "q_prev coordinate 1 = 5 outside 0..4"),
+                            ((0, 4), "q_prev coordinate 2 = 4 outside 0..2")):
+        with pytest.raises(ConfigError) as exc:
+            lower_bound_adversary_step(q_prev, (0, 0), (0, 0), spec)
+        assert str(exc.value) == message
+
+
+def test_points_of_huge_metrics_are_checked_on_their_coordinates():
+    # the check never builds anything the size of a metric: n = 10**12 passes and fails at once
+    spec = MetricSpec(n=(10**12,) * 3)
+    assert _validate_config_point(spec, (10**12 - 1, 0, 5), "q") == (10**12 - 1, 0, 5)
+    with pytest.raises(ConfigError) as exc:
+        _validate_config_point(spec, (0, 10**12, 0), "q")
+    assert str(exc.value) == "q coordinate 2 = 1000000000000 outside 0..999999999999"
+
+
+def test_traced_lower_bound_run_at_huge_n_verifies(tmp_path, capsys):
+    # the walk, the writer, the reader and both audits at n = 10**9 per metric
+    config = {"k": 3, "n": [10**9] * 3, "policy": ["1/3"] * 3, "adversary": "lower_bound",
+              "phases": 20, "seed": 1, "emit_trace": True, "trace_path": str(tmp_path / "t.csv")}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["simulate", str(tmp_path / "c.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["phases"] == 20
+    assert main(["verify", str(tmp_path / "t.csv")]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    assert verify_trace(read_trace_csv(str(tmp_path / "t.csv"))).ok
 
 
 def test_n2_adversary_steps():
