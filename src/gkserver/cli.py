@@ -30,16 +30,16 @@ from math import factorial
 
 from .chains import binary_chain, eet_oracle_table, eet_table, harmonic_chain
 from .harmonic import alpha, alpha_bounds_check, int_to_str, rational_from_str, rational_to_str
-from .potential import _context, _verify_lines
+from .potential import _context, verify_trace
 from .simulate import (
     ConfigError,
     ExperimentConfig,
     MetricSpec,
     StepBudgetExhausted,
-    _read_header,
     _write_run,
     estimate_ratio,
     raise_if_exhausted,
+    read_trace_csv,
     run,
 )
 from .subsets import (
@@ -199,13 +199,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # verify_trace(read_trace_csv(path))'s report, each step read as text; a policy the
-    # audit rejects is not a malformed trace
+    # a policy the audit rejects is not a malformed trace
     with _prefixed("malformed trace: "):
-        trace = _read_header(args.trace)
+        trace = read_trace_csv(args.trace)
     ctx = _context(trace)
     with _prefixed("malformed trace: "):
-        report = _verify_lines(trace, ctx)
+        report = verify_trace(trace, ctx)
     _emit_json(report.to_dict(), args.out)
     return EXIT_OK if report.ok else EXIT_VERIFY
 

@@ -93,12 +93,7 @@ def alpha_bounds_check(ell: int) -> bool:
         raise ValueError(f"alpha_bounds_check is defined for ell >= 1, got {ell}")
     a = alpha(ell)
     f = factorial(ell - 1)
-    if a < f:
-        return False
-    if a > 3 * f:
-        return False
-    e_up = e_over_approximation(max(50, ell + 2))
-    return a <= ceil(e_up * f)
+    return f <= a <= 3 * f and a <= ceil(e_over_approximation(max(50, ell + 2)) * f)
 
 
 def int_to_str(n: int) -> str:

@@ -25,7 +25,7 @@ from operator import eq, ne
 
 from .chains import harmonic_eet
 from .harmonic import alpha_table, rational_to_str
-from .simulate import _audited_lines, _audited_steps, diff_mask
+from .simulate import _audited, diff_mask
 from .subsets import MemorylessPolicy
 
 __all__ = [
@@ -181,21 +181,16 @@ def verify_trace(trace, ctx: PotentialContext | None = None) -> TraceReport:
     audit keeps k times each expected quantity as an integer and builds
     the report's fractions once at the end. Every check but the `t` check
     runs once per distinct (previous configurations, row) pair
-    (simulate._audited_steps); its records get their step's `t` as they
-    are reported. `gkserver verify` runs the same checks and report on the
-    trace file's lines (_verify_lines). A trace whose steps yield nothing,
-    such as an already consumed stream, raises ValueError; a point outside
-    its metric, or a configuration of another width, raises the ConfigError
-    that read_trace_csv's steps raise for it.
+    (simulate._audited); its records get their step's `t` as they are
+    reported. The steps of read_trace_csv are audited on their file's
+    lines, as text, with the trace's own n, q0 and adv0; `gkserver verify`
+    is this call. A trace whose steps yield nothing, such as an already
+    consumed stream, raises ValueError; a point outside its metric, or a
+    configuration of another width, raises the ConfigError that
+    read_trace_csv's steps raise for it.
     """
     ctx = _context(trace, ctx)
-    return _report(ctx, trace, _audited_steps(trace, _auditor(ctx)))
-
-
-def _verify_lines(trace, ctx: PotentialContext) -> TraceReport:
-    """verify_trace's report, from a context _context gave, on a trace whose steps are the
-    numbered lines of its file after the column header, read as text (simulate._audited_lines)."""
-    return _report(ctx, trace, _audited_lines(trace, _auditor(ctx)))
+    return _report(ctx, trace, _audited(trace, _auditor(ctx)))
 
 
 def _context(trace, ctx: PotentialContext | None = None) -> PotentialContext:

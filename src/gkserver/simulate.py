@@ -40,7 +40,7 @@ from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import accumulate, chain, compress, count, permutations, product
+from itertools import accumulate, chain, compress, count, permutations, product, starmap
 from math import sqrt
 from operator import attrgetter, itemgetter, length_hint, ne
 
@@ -76,8 +76,8 @@ ADVERSARY_KINDS = ("lower_bound", "n2")
 DEFAULT_MAX_STEPS = 10**9
 # entries in each cache of a trace's distinct configurations, moves, rows and audited
 # step pairs: a run of 200 k steps at k <= 8 has fewer distinct moves, while at k = 64
-# nearly every step is new, so there each cache costs memory and saves nothing; the
-# reading side of `gkserver verify` keeps one cache, keyed on text (_audited_lines)
+# nearly every step is new, so there each cache costs memory and saves nothing; a trace
+# file is read through one cache, keyed on text (_audited_lines)
 _CACHE_SIZE = 2**14
 
 
@@ -811,7 +811,7 @@ _CODECS = {
 _HEADER = {f.name: f for f in fields(Trace) if f.name != "steps"}
 _COLUMNS = ",".join(f.name for f in fields(TraceStep))
 # a step's row: its columns after t, which is new at every step, so the caches of the
-# writer, the reader and the audit key on the row, as values or as text
+# writer and the audits key on the row, as values or as text
 _ROW = fields(TraceStep)[1:]
 _ROW_VALUES = attrgetter(*(f.name for f in _ROW))
 # the policy's and the adversary's configuration among a row's columns
@@ -822,20 +822,6 @@ _ENCODERS = [_CODECS[f.type][0] for f in _ROW]
 def _row_text(row) -> str:
     """The text of a row's values, as its step's line holds it after `t,`."""
     return ",".join([encode(v) for encode, v in zip(_ENCODERS, row)])
-
-
-def _row_decoder(spec: MetricSpec):
-    """The values of a row's text (a trailing newline aside), each configuration or request
-    checked to be a point of spec's metrics; raises ValueError on a malformed row."""
-    decoders = [_CODECS[f.type][1] for f in _ROW]
-
-    def decode(text):
-        cells = text.rstrip("\n").split(",")
-        if len(cells) != len(_ROW):
-            raise ValueError(f"expected {len(_ROW)} fields after t, got {len(cells)}")
-        return _check_points(spec, [parse(cell) for parse, cell in zip(decoders, cells)])
-
-    return decode
 
 
 def _check_points(spec: MetricSpec, row):
@@ -872,25 +858,15 @@ def _numbered_lines(path: str):
 def read_trace_csv(path: str) -> Trace:
     """Parse a trace written by write_trace_csv; raises ValueError on malformed input.
 
-    The header is checked here; the steps are parsed as they are read, so
-    a bad step raises then. Malformed includes a `#` line after the column
-    header, a repeated or unknown header key (a `#` line without `=` is a
-    comment), a header n that does not list k metrics and a configuration
-    or request of the wrong width or with a point outside its metric's
-    0..n_i - 1; the error names the first such step. A step's `t` is read
-    as int() reads it. Each distinct row text after `t` is parsed and
-    checked once, in a cache of _CACHE_SIZE rows keyed on the text;
-    `gkserver verify` reads the same lines as text (_audited_lines).
+    The header is checked here. The steps are a one-pass iterator, parsed
+    as they are read by the text loop verify_trace audits the file with
+    (_audited_lines), so a bad step raises then. Malformed includes a `#`
+    line after the column header, a repeated or unknown header key (a `#`
+    line without `=` is a comment), a header n that does not list k metrics
+    and a configuration or request of the wrong width or with a point
+    outside its metric's 0..n_i - 1; the error names the first such step.
+    A step's `t` is read as int() reads it.
     """
-    trace = _read_header(path)
-    row = lru_cache(_CACHE_SIZE)(_row_decoder(MetricSpec(n=trace.n)))
-    steps = _line_rows(trace.steps, lambda _, text: (row(text), None), None)
-    return replace(trace, steps=(TraceStep(t, *values) for t, values in steps))
-
-
-def _read_header(path: str) -> Trace:
-    """The header of the trace file at path, checked, as a Trace whose steps are the
-    (line number, line) pairs after the column header, read from the open file."""
     lines = _numbered_lines(path)
     meta: dict[str, str] = {}
     for lineno, line in lines:
@@ -916,9 +892,21 @@ def _read_header(path: str) -> Trace:
     if not head["k"] == len(head["n"]) == len(head["q0"]) == head["policy"].k:
         raise ValueError("trace header is inconsistent (k vs n vs q0 vs policy length)")
     spec = MetricSpec(n=head["n"])
-    _validate_config_point(spec, head["q0"], "q0")
-    _validate_config_point(spec, head["adv0"], "adv0")
-    return Trace(**head, steps=lines)
+    start = (_validate_config_point(spec, head["q0"], "q0"),
+             _validate_config_point(spec, head["adv0"], "adv0"))
+    return Trace(**head, steps=_FileSteps(spec, start, lines))
+
+
+class _FileSteps(starmap):
+    """The TraceSteps of a trace file's numbered `lines` after its column header, parsed and
+    checked against its header's spec, from (q0, adv0) = start, as they are iterated: one
+    pass, as a generator's. verify_trace audits the lines themselves (_audited)."""
+
+    def __new__(cls, spec: MetricSpec, start, lines):
+        rows = _audited_lines(spec, start, lines, lambda q_prev, adv_prev, *row: row)
+        steps = super().__new__(cls, lambda t, row: TraceStep(t, *row), rows)
+        steps.lines = lines
+        return steps
 
 
 def _step_t(lineno: int, line: str) -> int | None:
@@ -941,17 +929,57 @@ def _step_t(lineno: int, line: str) -> int | None:
         raise ValueError(f"line {lineno}: {exc}") from exc
 
 
-def _line_rows(lines, row, state):
-    """Yield (t, value) for each step of the numbered lines after a trace's column header,
-    where value, state = row(state, the row's text): state carries from step to step.
+def _audited(trace: Trace, audit):
+    """(t, audit(q_prev, adv_prev, *row)) for each step of trace, q_prev and adv_prev being
+    the step before's configurations from trace's own q0 and adv0, checked at once; the
+    steps of a file (read_trace_csv) are audited on its lines, as text."""
+    spec = MetricSpec(n=trace.n)
+    start = (_validate_config_point(spec, trace.q0, "q0"),
+             _validate_config_point(spec, trace.adv0, "adv0"))
+    if isinstance(trace.steps, _FileSteps):
+        return _audited_lines(spec, start, trace.steps.lines, audit)
+    return _audited_steps(spec, start, trace.steps, audit)
 
-    A step's `t` is compared as text with the number after the previous
-    `t`, and read by int() only when the two differ. row raises ValueError
-    on a malformed row, which is then named by its line, or by its step for
-    a configuration outside its metrics. A trace without steps raises
-    ValueError.
-    """
-    value = None
+
+def _audited_steps(spec: MetricSpec, start, steps, audit):
+    """_audited's pairs for TraceSteps, with audit cached on the values of each distinct
+    (q_prev, adv_prev, row), _CACHE_SIZE of them. Each distinct row's points are checked as
+    read_trace_csv checks them, and a bad one raises its ConfigError."""
+    q_prev, adv_prev = start
+    checked = lru_cache(_CACHE_SIZE)(lambda q, adv, *row: audit(q, adv, *_check_points(spec, row)))
+    for s in steps:
+        try:
+            value = checked(q_prev, adv_prev, *_ROW_VALUES(s))
+        except ConfigError as exc:  # named by its step, as in _audited_lines
+            raise ConfigError(f"step t={s.t}: {exc}") from exc
+        yield s.t, value
+        q_prev, adv_prev = s.alg_config, s.adv_config
+
+
+def _audited_lines(spec: MetricSpec, start, lines, audit):
+    """_audited's pairs for the numbered lines of a trace file after its column header, with
+    audit cached on the text of each distinct (step before's configurations, row), which is
+    parsed and checked on a miss. A step's `t` is compared as text with the number after the
+    previous `t`, and read by int() only when the two differ. A malformed row raises
+    ValueError named by its line, a point outside its metric ConfigError named by its step,
+    and a file without steps ValueError."""
+    decoders = [_CODECS[f.type][1] for f in _ROW]
+    encode_config, decode_config = _CODECS["tuple[int, ...]"]
+    last = None, None  # the state the last miss left, and its configurations
+
+    # the state a step leaves is its configurations: the text of their columns
+    @lru_cache(_CACHE_SIZE)
+    def pair(state, text):
+        nonlocal last
+        cells = text.rstrip("\n").split(",")
+        if len(cells) != len(_ROW):
+            raise ValueError(f"expected {len(_ROW)} fields after t, got {len(cells)}")
+        row = _check_points(spec, [parse(cell) for parse, cell in zip(decoders, cells)])
+        configs = last[1] if state is last[0] else map(decode_config, state.split(","))
+        last = ",".join(_CONFIGS(cells)), _CONFIGS(row)
+        return audit(*configs, *row), last[0]
+
+    state, value = ",".join(map(encode_config, start)), None
     t_next, expected = "1", 1  # the text, and the number, of a consecutive t
     for lineno, line in lines:
         t_text, _, text = line.partition(",")
@@ -960,7 +988,7 @@ def _line_rows(lines, row, state):
         elif (t := _step_t(lineno, line)) is None:
             continue
         try:
-            value, state = row(state, text)
+            value, state = pair(state, text)
         except ConfigError as exc:  # a configuration outside its metrics: name its step
             raise ConfigError(f"step t={t}: {exc}") from exc
         except ValueError as exc:
@@ -974,44 +1002,3 @@ def _line_rows(lines, row, state):
             t_next = None
     if value is None:
         raise ValueError("trace holds no steps")
-
-
-def _audited_steps(trace: Trace, audit):
-    """Yield (t, audit(q_prev, adv_prev, *row)) for each TraceStep of trace, where q_prev and
-    adv_prev are the step before's configurations; audit is cached on the values of each
-    distinct (q_prev, adv_prev, row), _CACHE_SIZE of them. q0, adv0 and each distinct row's
-    points are checked as read_trace_csv checks them, and a bad one raises its ConfigError."""
-    spec = MetricSpec(n=trace.n)
-    q_prev = _validate_config_point(spec, trace.q0, "q0")
-    adv_prev = _validate_config_point(spec, trace.adv0, "adv0")
-    checked = lru_cache(_CACHE_SIZE)(lambda q, adv, *row: audit(q, adv, *_check_points(spec, row)))
-    for s in trace.steps:
-        try:
-            value = checked(q_prev, adv_prev, *_ROW_VALUES(s))
-        except ConfigError as exc:  # as _line_rows names the step of a point outside its metric
-            raise ConfigError(f"step t={s.t}: {exc}") from exc
-        yield s.t, value
-        q_prev, adv_prev = s.alg_config, s.adv_config
-
-
-def _audited_lines(trace: Trace, audit):
-    """_audited_steps' pairs for a trace whose steps are the numbered lines of its file after
-    the column header (_read_header), with audit cached on the text of the step before's
-    configurations and of the row. A row is parsed and checked as read_trace_csv would at
-    its first step, and a malformed step raises ValueError as read_trace_csv's steps would."""
-    decode = _row_decoder(MetricSpec(n=trace.n))
-    encode_config, decode_config = _CODECS["tuple[int, ...]"]
-
-    last = None, None  # the state the last miss left, and its configurations
-
-    # the state a step leaves is its configurations: the text of their columns
-    @lru_cache(_CACHE_SIZE)
-    def pair(state, text):
-        nonlocal last
-        row = decode(text)
-        configs = last[1] if state is last[0] else map(decode_config, state.split(","))
-        last = ",".join(_CONFIGS(text.split(","))), _CONFIGS(row)
-        return audit(*configs, *row), last[0]
-
-    start = ",".join(map(encode_config, (trace.q0, trace.adv0)))
-    return _line_rows(trace.steps, pair, start)

@@ -29,7 +29,6 @@ EXEMPT = {
     ("cli.py", "return EXIT_BROKEN_PIPE"):
         "the broken-pipe exit runs only in subprocess tests, untraced",
     ("cli.py", "sys.exit(main())"): "runs only when cli.py is the main script",
-    ("harmonic.py", "return False"): "alpha_bounds_check's bounds hold for every ell",
 }
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkserver import simulate
 from gkserver.chains import harmonic_eet
 from gkserver.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VERIFY, main
 from gkserver.harmonic import alpha, alpha_table
@@ -224,9 +225,26 @@ def test_verify_trace_requires_uniform_policy():
 
 def test_verify_trace_rejects_a_spent_stream(tmp_path):
     trace = _uniform_trace(2, 5, seed=3)
-    write_trace_csv(trace, str(tmp_path / "t.csv"))  # consumes the one-pass steps
-    with pytest.raises(ValueError, match="trace holds no steps"):
-        verify_trace(trace)
+    path = str(tmp_path / "t.csv")
+    write_trace_csv(trace, path)  # consumes the one-pass steps
+    from_file = read_trace_csv(path)
+    assert list(from_file.steps) and list(from_file.steps) == []  # as a spent generator's
+    for spent in (trace, from_file):
+        with pytest.raises(ValueError, match="trace holds no steps"):
+            verify_trace(spent)
+
+
+def test_a_file_trace_is_audited_from_its_own_q0_and_adv0(tmp_path):
+    trace = _uniform_trace(3, 5, seed=1)
+    trace.steps = list(trace.steps)  # a one-pass stream: keep it to audit after writing
+    path = str(tmp_path / "t.csv")
+    write_trace_csv(trace, path)
+    moved = verify_trace(dataclasses.replace(read_trace_csv(path), q0=(1, 0, 0)))
+    assert len(moved.hard_violations) == 3
+    assert moved == verify_trace(dataclasses.replace(trace, q0=(1, 0, 0)))
+    for start in ("q0", "adv0"):
+        with pytest.raises(ConfigError, match=f"^{start} coordinate 2 = 7 outside 0..2$"):
+            verify_trace(dataclasses.replace(read_trace_csv(path), **{start: (0, 7, 0)}))
 
 
 def test_verify_trace_rejects_no_steps():
@@ -519,8 +537,7 @@ def _cli_and_library_reports(path, capsys):
         read_trace_csv(str(path))).to_dict()
 
 
-# `gkserver verify` reads each step as text, the library as a TraceStep: one audit
-# body must give both the same report
+# `gkserver verify` is read_trace_csv and verify_trace: its JSON report must be the library's
 @pytest.mark.parametrize("kind", sorted(_TAMPERS))
 def test_cli_and_library_reports_agree_on_tampered_traces(kind, tmp_path, capsys):
     trace = _uniform_trace(3, 50, seed=21)
@@ -572,6 +589,23 @@ def test_cli_and_library_reports_agree_where_no_row_repeats(tmp_path, capsys):
     code, cli_report, library_report = _cli_and_library_reports(path, capsys)
     assert code == EXIT_OK
     assert cli_report == library_report
+
+
+def test_the_library_checks_each_rows_points_once_as_the_cli_does(tmp_path, monkeypatch):
+    cfg = ExperimentConfig.from_dict({
+        "k": 64, "n": [3] * 64, "policy": ["1/64"] * 64, "adversary": "lower_bound",
+        "phases": 10**6, "seed": 5, "max_steps": 2000, "emit_trace": True})
+    path = str(tmp_path / "t.csv")
+    write_trace_csv(run(cfg)[1], path)
+    checks = []
+    check = simulate._validate_config_point
+    monkeypatch.setattr(simulate, "_validate_config_point",
+                        lambda *args: checks.append(args) or check(*args))
+    assert main(["--out", str(tmp_path / "report.json"), "verify", path]) == EXIT_OK
+    cli_checks = len(checks)
+    assert verify_trace(read_trace_csv(path)).ok
+    # the header's q0 and adv0 when read and when audited, and at most each row's three points
+    assert len(checks) - cli_checks == cli_checks <= 2 + 2 + 3 * 2000
 
 
 def _each_step(edit):

@@ -747,7 +747,8 @@ def test_trace_csv_round_trip(tmp_path):
     assert back.k == trace.k and back.n == trace.n and back.seed == trace.seed
     assert back.policy == trace.policy
     assert back.q0 == trace.q0 and back.adv0 == trace.adv0
-    assert list(back.steps) == trace.steps
+    assert next(back.steps) == trace.steps[0]  # an iterator, as a generator is
+    assert list(back.steps) == trace.steps[1:]
 
 
 def test_trace_reader_rejects_malformed(tmp_path):
