@@ -23,6 +23,10 @@ Subsets are k-bit masks: metric i (canonical order) is bit i-1.
 
 Solving: equations are eliminated in decreasing mask order, which keeps
 fill-in tiny (each reduced row touches only a handful of "tail" subsets).
+Every policy at a given k shares the sparsity pattern, and the pattern
+has a closed form, so where each pivot reads and writes is worked out
+once per k and cached (`_schedule`); each factorization replays it with
+numpy over one flat store, in float64 or over Python ints.
 The system is assembled in integers, as W A h = W b straight from the
 weights W p, W the lcm of p's denominators; its Fraction rows are only a
 view. The exact mode factors W A once modulo a 521-bit prime, lifts the
@@ -39,15 +43,16 @@ fails raises an ArithmeticError (SolverError for iterative refinement).
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
-from itertools import islice, repeat
+from functools import cache, cached_property
+from itertools import chain, islice, repeat
 from math import gcd, isqrt
 from operator import eq, mul
 from typing import NamedTuple
+
+import numpy as np
 
 from .harmonic import alpha, alpha_table, common_denominator, rational_to_str
 
@@ -70,19 +75,21 @@ __all__ = [
 
 # Every exact solve at k = 12 ends in seconds. Measured on a shared
 # 2-vCPU Xeon, Python 3.11, as whole `gkserver system` runs: random
-# policies (weights 1..40, random.Random(1), (2), (3)) take 5.9-8.4, 5.7
-# and 4.4 s at a peak RSS of 71, 66 and 62 MB; time follows the common
-# denominator of h (16.8, 13.0 and 10.9 k bits). With --csv, Random(1)
-# takes 12.3-14.0 s at 70 MB: the CSV alone builds h's 4095 Fractions
-# (2.3 s) and their decimal digits (1.8 s). Uniform k = 12 takes 0.6-0.9 s.
+# policies (weights 1..40, random.Random(1), (2), (3)) take 7.0-9.4,
+# 7.0-7.5 and 4.3-5.9 s at a peak RSS of 71, 66 and 62.5 MB; time follows
+# the common denominator of h (16.8, 13.0 and 10.9 k bits). With --csv,
+# Random(1) takes 12.7-12.8 s at 71 MB: the CSV alone builds h's 4095
+# Fractions and their decimal digits. Uniform k = 12 takes 1.0-1.1 s at
+# 46.7 MB.
 EXACT_MODE_MAX_K = 12
 # The largest k at which every iterative solve ends within about 10 s and
 # 0.6 GB, one that spends the whole 60-pass budget included. Measured on a
-# shared 2-vCPU Xeon, Python 3.11: at k = 14 uniform takes 1.4-1.8 s
-# (4 passes), random policies 2.3-3.6 s (12-18 passes) and a policy that
-# exhausts the budget 8.6-9.9 s, at a peak RSS of 83 MB. Random k = 15
-# policies need 30-37 passes and 9-10.4 s; a random k = 16 one exhausts the
-# budget in 38 s.
+# shared 2-vCPU Xeon, Python 3.11, as whole `gkserver system` runs: at
+# k = 14 uniform takes 1.3-1.7 s (4 passes), random policies 2.0-3.1 s
+# (12-18 passes) and a policy that exhausts the budget 8.3-9.4 s, at a
+# peak RSS of 65-69 MB. Random k = 15 policies need 30-37 passes and
+# 7.1-8.2 s a solve, at 114 MB; a random k = 16 one exhausted the budget
+# in 38 s.
 ITERATIVE_MODE_MAX_K = 14
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
 
@@ -173,9 +180,11 @@ class SubsetSystem:
     def residual(self, h) -> Fraction:
         """Max absolute violation of the equations by a candidate h over the masks.
 
-        h is a solution's view or a sequence of rationals.
+        h is a solution's view or a sequence of rationals, one per mask.
         """
         w, rows = self.scaled_rows
+        if len(h) != len(rows) + 1:
+            raise ValueError(f"h has {len(h)} entries; a k = {self.k} system has {len(rows) + 1} masks")
         h = _scaled(h)
         unit = w * h.delta
         return Fraction(max(map(abs, _residual(rows, repeat(unit), h.x))), unit)
@@ -192,26 +201,37 @@ def _residual(rows: list, b, x: list[int]) -> list[int]:
                   for bi, (cols, vals) in zip(islice(b, 1, None), rows)]
 
 
+def _columns(k: int):
+    """The masks each row of the k-metric system is over, row by row in mask order.
+
+    Row S lists S \\ {m} (none for a singleton, as h(empty) = 0), then
+    S u {j} for the j not in S in increasing order, then S. Every policy
+    at k has this pattern, since every p_i > 0.
+    """
+    for mask in range(1, 1 << k):
+        low = mask & -mask
+        yield ((mask ^ low,) if mask != low else ()) + tuple(
+            mask | 1 << j for j in range(k) if not mask >> j & 1) + (mask,)
+
+
 def build_system(policy: MemorylessPolicy) -> SubsetSystem:
     """Assemble the integer equations W A h = W b for every nonempty subset.
 
-    Each row lists h(S \\ {m}), then h(S u {j}) for the j not in S in
-    increasing order, then the diagonal W (p_m + sum_{j not in S} p_j),
-    built from the running complement sums W (1 - sum_{j in S} p_j), one
-    subtraction a mask.
+    Each row's columns come from `_columns`; the coefficient of a
+    neighbour S ^ {i} is -W p_i, and the diagonal W (p_m + sum_{j not in
+    S} p_j) is built from the running complement sums W (1 - sum_{j in S}
+    p_j), one subtraction a mask.
     """
     k = policy.k
     w, weights = common_denominator(policy.probs)
     outside = [w] * (1 << k)
     rows = []
-    for mask in range(1, 1 << k):
+    for mask, cols in enumerate(_columns(k), 1):
         low = mask & -mask
         wm = weights[low.bit_length() - 1]
         outside[mask] = outside[mask ^ low] - wm
-        free = [j for j in range(k) if not mask >> j & 1]
-        first = mask == low  # a singleton's h(S \ {m}) is h(empty) = 0
-        rows.append(((mask ^ low, *(mask | 1 << j for j in free), mask)[first:],
-                     (-wm, *(-weights[j] for j in free), wm + outside[mask])[first:]))
+        rows.append((cols, (*[-weights[(c ^ mask).bit_length() - 1] for c in cols[:-1]],
+                            wm + outside[mask])))
     return SubsetSystem(policy=policy, scaled_rows=(w, rows))
 
 
@@ -287,74 +307,192 @@ class SubsetSolution:
         return self.h.delta, self.h.x
 
 
+class _Schedule(NamedTuple):
+    """Where the elimination of every system with n masks reads and writes.
+
+    Entries live in one flat store. Entry x < n is pivot x's diagonal;
+    from n on come the pivots in decreasing mask order, each one's U row
+    at ustart[x]:lstart[x], then its L column at lstart[x]:ustart[x - 1]
+    (ustart[0] is the store's size). index[p] is the column of a U entry
+    and the row of an L entry at store position p. Pivot x's outer-product
+    update L x U, row-major, writes the store positions
+    updates[qstart[x]:qstart[x - 1]], and sources[j] is the position of
+    the j-th coefficient of `scaled_rows`, row by row. The offsets and
+    the index are memoryviews, which read as Python ints.
+    """
+
+    sources: np.ndarray
+    index: memoryview
+    ustart: memoryview
+    lstart: memoryview
+    qstart: memoryview
+    updates: np.ndarray
+
+
+# rows of `_columns` whose sources are placed at once; bounds the scratch arrays
+_ROWS_AT_ONCE = 1 << 10
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs starts[i], starts[i] + 1, ... of counts[i] numbers each, end to end."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _above(a: np.ndarray) -> np.ndarray:
+    """For each mask, the sum of a over the masks above it."""
+    return np.cumsum(a[::-1])[::-1] - a
+
+
+@cache
+def _schedule(n: int) -> _Schedule:
+    """The structure of the elimination of the systems with n masks; cached.
+
+    Elimination in decreasing mask order fills a pattern with a closed
+    form. With low the lowest bit of pivot x and y = x ^ low:
+    - its U row holds y (none for a singleton), then y & -b for each b
+      that starts a run of ones in y above its lowest run, highest b
+      first. That is the order in which an elimination that keeps each
+      row as a dict inserts them, hence the order `_substitute` sums in;
+    - its L column holds the rows (x ^ b) | t for each bit b of x and
+      each t < low, but the empty set: one run of rows per bit, in
+      increasing order when b goes from the highest bit down.
+    Both match such an elimination, run on column sets alone, at every
+    k <= 14. So an entry's store position follows from its row and
+    column alone (`position` below), and the index, the update targets
+    and the sources are computed bit by bit for all pivots at once.
+    """
+    x = np.arange(n)
+    low = x & -x
+    y = x ^ low
+    runs = y & ~(y << 1)  # the lowest bit of each run of ones in y
+    ulen = np.bitwise_count(runs)
+    llen = np.bitwise_count(x) * low - (y == 0)
+    llen[0] = 0
+    ustart = (n + _above(ulen + llen)).astype(np.int32)
+    lstart = ustart + ulen
+    qstart = _above(ulen * llen).astype(np.int32)
+
+    def position(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """The store position of entry (r, c): r's diagonal, a U entry of row r
+        or an L entry of column c, at its rank in the closed form above."""
+        c_low, r_y = c & -c, r ^ (r & -r)
+        # U: y first, then one entry per run of y above the lowest, highest first
+        urank = np.where(c == r_y, 0, 1 + np.bitwise_count(r_y & ~(r_y << 1) & -(c_low << 1)))
+        # L: the run of rows for the bit of c that r lacks (a singleton's starts at 1)
+        lrank = (np.bitwise_count(c & -((c & ~r) << 1)) * c_low + (r & c_low - 1)
+                 - (c == c_low))
+        return np.where(c == r, r, np.where(c < r, ustart[r] + urank, lstart[c] + lrank))
+
+    index = np.empty(ustart[0], np.min_scalar_type(n - 1))  # masks, in the narrowest type
+    index[:n] = x
+    updates = np.empty(qstart[0], np.int32)
+    for j in range(n.bit_length() - 1):
+        b = 1 << j
+        on = np.flatnonzero(runs & b)  # the U rows holding y & -b
+        rank = np.where(y[on] & -y[on] == b, 0, 1 + np.bitwise_count(runs[on] >> j + 1))
+        index[ustart[on] + rank] = y[on] & -b
+    for j in range(n.bit_length() - 1):  # after every U row: the updates read them
+        b = 1 << j
+        on = np.flatnonzero(x & b)  # the L columns holding the run of rows x ^ b
+        first = np.maximum(on ^ b, 1)
+        count = (on ^ b) + low[on] - first
+        rows, pivot = _ranges(first, count), np.repeat(on, count)
+        place = _ranges(np.bitwise_count(on >> j + 1) * low[on], count)  # in the L column
+        index[lstart[pivot] + place] = rows
+        for slot in range(int(ulen.max())):  # each row's update from the pivot's slot-th U entry
+            keep = ulen[pivot] > slot
+            p = pivot[keep]
+            updates[qstart[p] + place[keep] * ulen[p] + slot] = position(
+                rows[keep], index[ustart[p] + slot])
+    sources, pattern = [], _columns(n.bit_length() - 1)
+    for first in range(1, n, _ROWS_AT_ONCE):
+        part = list(islice(pattern, _ROWS_AT_ONCE))
+        sources.append(position(np.repeat(np.arange(first, first + len(part)), [*map(len, part)]),
+                                np.fromiter(chain.from_iterable(part), np.int64)))
+    return _Schedule(np.concatenate(sources).astype(np.int32), memoryview(index),
+                     memoryview(ustart), memoryview(lstart), memoryview(qstart), updates)
+
+
 class _Factors(NamedTuple):
     """LU factors of a subset system, pivoted in decreasing mask order.
 
-    Pivot x keeps diag[x], its U row upper[x] = (columns, values) over
-    masks below x, and its L column lower[x] = (rows, factors) over the
-    rows below x. Indices are typed arrays, and so are float values;
-    residue and Fraction values are lists. With a nonzero modulus the
-    entries are residues and diag[x] holds the inverse of the pivot, so
-    substitution multiplies by it.
+    `values` is the store `_eliminate` filled, laid out by `plan`: pivot
+    x's diagonal is values[x], its U row over masks below x is
+    (columns, values) = (index[ustart[x]:lstart[x]], values[same]), and
+    its L column over the rows below x is (rows, factors) =
+    (index[lstart[x]:ustart[x - 1]], values[same]). Float values stay
+    packed behind a memoryview, which reads them as Python floats;
+    residues and Fractions are a list. With a nonzero modulus the
+    entries are residues and values[x] holds the inverse of the pivot,
+    so substitution multiplies by it.
     """
 
-    diag: Sequence
-    upper: list[tuple[array, Sequence]]
-    lower: list[tuple[array, Sequence]]
+    values: Sequence
+    plan: _Schedule
     modulus: int
 
+    @property
+    def upper(self) -> list[tuple[Sequence, Sequence]]:
+        """Pivot x's U row (columns, values) at index x."""
+        index, ustart, lstart = self.plan.index, self.plan.ustart, self.plan.lstart
+        return [(index[a:b], self.values[a:b]) for a, b in zip(ustart, lstart)]
 
-def _eliminate(rows: dict, n: int, zero, modulus: int = 0) -> _Factors:
-    """Factor step of the shared elimination core, decreasing mask order.
+    @property
+    def lower(self) -> list[tuple[Sequence, Sequence]]:
+        """Pivot x's L column (rows, factors) at index x."""
+        index, ustart, lstart = self.plan.index, self.plan.ustart, self.plan.lstart
+        return [((), ())] + [(index[a:b], self.values[a:b]) for a, b in zip(lstart[1:], ustart)]
 
-    `rows` maps mask -> coefficient dict over one numeric type (int
-    residues modulo a prime for the exact path, float for the
-    preconditioner, Fraction for the test oracle) and is consumed: each
-    row is popped once it is eliminated, and only rows still live (below
-    the pivot) receive updates. A live row gets the same updates in the
-    same pivot order as when eliminated rows were updated too, so the
-    float factors are unchanged by the skip.
+
+def _eliminate(rows, n: int, zero, modulus: int = 0) -> _Factors:
+    """Factor step of the shared elimination core: a numeric replay of `_schedule(n)`.
+
+    `rows` holds the coefficients in one numeric type (int residues
+    modulo a prime for the exact path, float for the preconditioner,
+    Fraction for the test oracle), row by row in mask order, each row in
+    `scaled_rows`' column order; a mapping mask -> {column: coefficient},
+    the shape of the `rows` view, holds them the same way. They fill a
+    float64 store for floats, else an object one. Each pivot divides its
+    U row by the diagonal and subtracts its outer product L x U from the
+    entries the schedule names, so every entry sees the same operations
+    in the same order as in an elimination that keeps each row as a
+    dict, and float factors are bit for bit the same.
 
     Given a modulus, integer rows are factored modulo it. Updates are not
     reduced: the pivot row and each L factor are reduced when read, so
     live entries only grow by sums of products of two residues.
     """
-    values = partial(array, "d") if isinstance(zero, float) else list
-    diag = values([zero]) * n
-    upper, lower = [((), ())] * n, [((), ())] * n
-    occ: dict[int, set[int]] = {x: set() for x in range(1, n)}
-    for rid, coeffs in rows.items():
-        for c in coeffs:
-            occ[c].add(rid)
-    for x in range(n - 1, 0, -1):
-        coeffs = rows.pop(x)
-        d = coeffs.pop(x, zero)
+    plan = _schedule(n)
+    store = np.full(len(plan.index), zero, float if isinstance(zero, float) else object)
+    if isinstance(rows, dict):
+        rows = (coeffs.values() for coeffs in rows.values())
+    store[plan.sources] = np.fromiter(chain.from_iterable(rows), store.dtype, len(plan.sources))
+    ustart, lstart, qstart = plan.ustart, plan.lstart, plan.qstart
+    prime = np.array(modulus, object)  # numpy reads a 0-d object array faster than a big int
+    # pivot x, where its U row starts, its L column starts and ends, its updates start and end
+    for x, u0, l0, l1, q0, q1 in zip(range(n - 1, 0, -1), ustart[:0:-1], lstart[:0:-1],
+                                     ustart[-2::-1], qstart[:0:-1], qstart[-2::-1]):
+        d = store[x]
         if modulus:
             d %= modulus
         if d == zero:
             where = " modulo the prime" if modulus else ""
             raise ArithmeticError(f"zero pivot at mask {x:#x}{where}; system unexpectedly singular")
+        f = store[l0:l1]
         if modulus:
-            diag[x] = inv = pow(d, -1, modulus)
-            expr = {c: v * inv % modulus for c, v in coeffs.items()}
+            store[x] = inv = pow(d, -1, modulus)
+            f %= prime
+        if u0 == l0:  # a singleton's U row is empty: it updates nothing
+            continue
+        expr = store[u0:l0]
+        if modulus:
+            expr *= np.array(inv, object)
+            expr %= prime
         else:
-            diag[x] = d
-            expr = {c: v / d for c, v in coeffs.items()}
-        upper[x] = array("l", expr), values(expr.values())
-        lrow, lval = lower[x] = array("l"), values()
-        for rid in occ.pop(x):
-            if rid >= x:
-                continue
-            rc = rows[rid]
-            f = rc.pop(x)
-            if modulus:
-                f %= modulus
-            lrow.append(rid)
-            lval.append(f)
-            for c, v in expr.items():
-                rc[c] = rc.get(c, zero) - f * v
-                occ[c].add(rid)
-    return _Factors(diag, upper, lower, modulus)
+            expr /= d
+        np.subtract.at(store, plan.updates[q0:q1], np.multiply.outer(f, expr).ravel())
+    return _Factors(memoryview(store) if store.dtype == float else store.tolist(), plan, modulus)
 
 
 def _substitute(factors: _Factors, rhs) -> list:
@@ -363,15 +501,16 @@ def _substitute(factors: _Factors, rhs) -> list:
     Applies the L columns in pivot order, then back-substitutes through U
     in increasing mask order. Residue factors return residues.
     """
-    diag, upper, lower, modulus = factors
+    values, plan, modulus = factors
+    index, ustart, lstart = plan.index, plan.ustart, plan.lstart
     h = list(rhs)
-    for x in range(len(diag) - 1, 0, -1):
-        hx = h[x] = h[x] * diag[x] % modulus if modulus else h[x] / diag[x]
-        for rid, f in zip(*lower[x]):
+    for x, l0, l1 in zip(range(len(h) - 1, 0, -1), lstart[:0:-1], ustart[-2::-1]):
+        hx = h[x] = h[x] * values[x] % modulus if modulus else h[x] / values[x]
+        for rid, f in zip(index[l0:l1], values[l0:l1]):
             h[rid] -= f * hx
-    for x in range(1, len(diag)):
+    for x, u0, u1 in zip(range(1, len(h)), ustart[1:], lstart[1:]):
         val = h[x]
-        for c, v in zip(*upper[x]):
+        for c, v in zip(index[u0:u1], values[u0:u1]):
             val -= v * h[c]
         h[x] = val % modulus if modulus else val
     return h
@@ -469,8 +608,7 @@ def _lift(scaled_rows: tuple, n: int) -> tuple[int, list[int]]:
     entries, asking for more lifts as it needs them.
     """
     w, rows = scaled_rows
-    factors = _eliminate({mask: dict(zip(cols, vals)) for mask, (cols, vals) in enumerate(rows, 1)},
-                         n, 0, _PRIME)
+    factors = _eliminate((vals for _, vals in rows), n, 0, _PRIME)
     r = [0] + [w] * (n - 1)
     hadamard_bits = sum((w * w + sum(v * v for v in vals)).bit_length() for _, vals in rows)
     # Numerators and denominators are Cramer determinants, below the
@@ -533,8 +671,7 @@ def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: 
     n = 1 << system.k
     w, rows = system.scaled_rows
     # a / w is float(Fraction(a, w)): int true division rounds correctly
-    factors = _eliminate({mask: {c: a / w for c, a in zip(cols, vals)}
-                          for mask, (cols, vals) in enumerate(rows, 1)}, n, 0.0)
+    factors = _eliminate(([a / w for a in vals] for _, vals in rows), n, 0.0)
     tn, td = tolerance.numerator, tolerance.denominator
     x = [0] * n
     e = 0
@@ -588,6 +725,8 @@ def solve_system(
         tolerance = Fraction(tolerance)
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if type(max_iterations) is not int or max_iterations < 0:
+            raise ValueError(f"max_iterations must be an int >= 0, got {max_iterations!r}")
         h, iterations, res = _solve_iterative(build_system(policy), tolerance, max_iterations)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'iterative'")

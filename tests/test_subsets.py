@@ -250,6 +250,19 @@ def test_iterative_reports_residual_on_budget_exhaustion():
     assert err.value.iterations == 0
 
 
+@pytest.mark.parametrize("max_iterations", [-1, 2.5, True, None])
+def test_iterative_rejects_a_bad_pass_budget_before_factoring(monkeypatch, max_iterations):
+    monkeypatch.setattr(subsets, "_eliminate", lambda *args: pytest.fail("the system was factored"))
+    with pytest.raises(ValueError, match=r"max_iterations must be an int >= 0, got "):
+        solve_system(MemorylessPolicy.uniform(3), mode="iterative", max_iterations=max_iterations)
+
+
+@pytest.mark.parametrize("length", [7, 9])
+def test_residual_rejects_an_h_of_the_wrong_length(length):
+    with pytest.raises(ValueError, match=f"h has {length} entries; a k = 3 system has 8 masks"):
+        build_system(MemorylessPolicy.uniform(3)).residual([Fraction(1)] * length)
+
+
 def test_mode_caps():
     with pytest.raises(ValueError):
         solve_system(MemorylessPolicy.uniform(13), mode="exact")
@@ -363,7 +376,8 @@ def test_pivot_vanishing_modulo_the_prime_raises():
         subsets._eliminate({1: {1: 6}}, 2, 0, 3)
 
 
-@pytest.mark.parametrize("k, u_entries, l_entries", [(8, 448, 2808), (10, 2304, 16630)])
+@pytest.mark.parametrize("k, u_entries, l_entries",
+                         [(8, 448, 2808), (10, 2304, 16630), (12, 11264, 92148)])
 def test_factor_fill_in(k, u_entries, l_entries):
     """Decreasing mask order keeps fill-in small, and the same for every policy:
     residue and float factors hold the same count of U and L entries."""
@@ -375,6 +389,27 @@ def test_factor_fill_in(k, u_entries, l_entries):
                                          1 << k, zero, modulus)
             assert sum(len(cols) for cols, _ in factors.upper) == u_entries
             assert sum(len(rids) for rids, _ in factors.lower) == l_entries
+
+
+def test_solves_at_one_k_reuse_its_cached_schedule():
+    subsets._schedule.cache_clear()
+    solve_system(MemorylessPolicy.uniform(6))
+    solve_system(random_policy(6, random.Random(6)), mode="iterative")
+    info = subsets._schedule.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_float_and_residue_factors_index_through_the_schedule():
+    """Both numeric types replay the one cached schedule of their k: no solve
+    builds index arrays of its own."""
+    k = 6
+    w, rows = build_system(random_policy(k, random.Random(k))).scaled_rows
+    plan = subsets._schedule(1 << k)
+    for values, zero, modulus in (([[a / w for a in vals] for _, vals in rows], 0.0, 0),
+                                  ([vals for _, vals in rows], 0, subsets._PRIME)):
+        factors = subsets._eliminate(values, 1 << k, zero, modulus)
+        assert factors.plan is plan and len(factors.values) == len(plan.index)
+        assert all(ids.obj is plan.index.obj for ids, _ in factors.upper + factors.lower[1:])
 
 
 def _fraction_monotonicity(sol):
