@@ -269,10 +269,10 @@ def _scaled(h) -> _Scaled:
 class SubsetSolution:
     """Solved h values, indexed by subset mask (h[0] == 0).
 
-    h is a view over the solver's (delta, x); an h passed in as values
-    becomes one over their lcm form. max_residual is the exact residual
-    of the stored values: zero in exact mode, below the requested
-    tolerance in iterative mode.
+    h is a view over the solver's (delta, x); an h passed in as values,
+    one per mask, becomes one over their lcm form. max_residual is the
+    exact residual of the stored values: zero in exact mode, below the
+    requested tolerance in iterative mode.
     """
 
     policy: MemorylessPolicy
@@ -283,6 +283,9 @@ class SubsetSolution:
     iterations: int | None = None
 
     def __post_init__(self):
+        if len(self.h) != 1 << self.k:
+            raise ValueError(f"h has {len(self.h)} entries; a k = {self.k} system has "
+                             f"{1 << self.k} masks")
         object.__setattr__(self, "h", _scaled(self.h))
 
     @property
@@ -417,12 +420,10 @@ def _schedule(n: int) -> _Schedule:
 class _Factors(NamedTuple):
     """LU factors of a subset system, pivoted in decreasing mask order.
 
-    `values` is the store `_eliminate` filled, laid out by `plan`: pivot
-    x's diagonal is values[x], its U row over masks below x is
-    (columns, values) = (index[ustart[x]:lstart[x]], values[same]), and
-    its L column over the rows below x is (rows, factors) =
-    (index[lstart[x]:ustart[x - 1]], values[same]). Float values stay
-    packed behind a memoryview, which reads them as Python floats;
+    `values` is the store `_eliminate` filled, laid out as `plan` (a
+    `_Schedule`) says: pivot x's diagonal, U row and L column are its
+    slices, and `plan.index` names their columns and rows. Float values
+    stay packed behind a memoryview, which reads them as Python floats;
     residues and Fractions are a list. With a nonzero modulus the
     entries are residues and values[x] holds the inverse of the pivot,
     so substitution multiplies by it.
@@ -432,32 +433,19 @@ class _Factors(NamedTuple):
     plan: _Schedule
     modulus: int
 
-    @property
-    def upper(self) -> list[tuple[Sequence, Sequence]]:
-        """Pivot x's U row (columns, values) at index x."""
-        index, ustart, lstart = self.plan.index, self.plan.ustart, self.plan.lstart
-        return [(index[a:b], self.values[a:b]) for a, b in zip(ustart, lstart)]
-
-    @property
-    def lower(self) -> list[tuple[Sequence, Sequence]]:
-        """Pivot x's L column (rows, factors) at index x."""
-        index, ustart, lstart = self.plan.index, self.plan.ustart, self.plan.lstart
-        return [((), ())] + [(index[a:b], self.values[a:b]) for a, b in zip(lstart[1:], ustart)]
-
 
 def _eliminate(rows, n: int, zero, modulus: int = 0) -> _Factors:
     """Factor step of the shared elimination core: a numeric replay of `_schedule(n)`.
 
     `rows` holds the coefficients in one numeric type (int residues
     modulo a prime for the exact path, float for the preconditioner,
-    Fraction for the test oracle), row by row in mask order, each row in
-    `scaled_rows`' column order; a mapping mask -> {column: coefficient},
-    the shape of the `rows` view, holds them the same way. They fill a
-    float64 store for floats, else an object one. Each pivot divides its
-    U row by the diagonal and subtracts its outer product L x U from the
-    entries the schedule names, so every entry sees the same operations
-    in the same order as in an elimination that keeps each row as a
-    dict, and float factors are bit for bit the same.
+    Fraction for the test oracle): one iterable per row in mask order,
+    each in `scaled_rows`' column order. The `_Schedule`'s sources place
+    them in a float64 store for floats, else an object one. Each pivot
+    divides its U row by the diagonal and subtracts its outer product
+    L x U from the entries the schedule names, so every entry sees the
+    same operations in the same order as in an elimination that keeps
+    each row as a dict, and float factors are bit for bit the same.
 
     Given a modulus, integer rows are factored modulo it. Updates are not
     reduced: the pivot row and each L factor are reduced when read, so
@@ -465,8 +453,6 @@ def _eliminate(rows, n: int, zero, modulus: int = 0) -> _Factors:
     """
     plan = _schedule(n)
     store = np.full(len(plan.index), zero, float if isinstance(zero, float) else object)
-    if isinstance(rows, dict):
-        rows = (coeffs.values() for coeffs in rows.values())
     store[plan.sources] = np.fromiter(chain.from_iterable(rows), store.dtype, len(plan.sources))
     ustart, lstart, qstart = plan.ustart, plan.lstart, plan.qstart
     prime = np.array(modulus, object)  # numpy reads a 0-d object array faster than a big int
@@ -832,7 +818,13 @@ def phi_transform(sol: SubsetSolution) -> Sequence[Fraction]:
 
 
 def competitive_gap(policy: MemorylessPolicy, solution: SubsetSolution | None = None) -> Fraction:
-    """h({k}) - k*alpha(k): zero exactly when the policy is uniform."""
+    """h({k}) - k*alpha(k): zero exactly when the policy is uniform.
+
+    A given solution must be of `policy`; raises ValueError otherwise.
+    """
     if solution is None:
         solution = solve_system(policy, mode="exact")
+    elif solution.policy != policy:
+        raise ValueError(f"the solution is of policy {solution.policy.as_strs()}, "
+                         f"not of {policy.as_strs()}")
     return solution.h_k - policy.k * alpha(policy.k)

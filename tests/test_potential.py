@@ -530,23 +530,24 @@ def test_blank_lines_between_steps_leave_the_report_unchanged(tmp_path):
             == verify_trace(read_trace_csv(str(clean))).to_dict())
 
 
-def _cli_and_library_reports(path, capsys):
-    """gkserver verify's exit code and JSON report, and the library's report dict."""
+def _cli_and_library_reports(trace, path, capsys):
+    """gkserver verify's exit code and JSON report on trace written to path, and the
+    report dict of the library's in-memory audit of trace, before it was written."""
+    trace.steps = list(trace.steps)  # a one-pass stream: keep it to write and audit
+    write_trace_csv(trace, str(path))
     code = main(["verify", str(path)])
-    return code, json.loads(capsys.readouterr().out), verify_trace(
-        read_trace_csv(str(path))).to_dict()
+    return code, json.loads(capsys.readouterr().out), verify_trace(trace).to_dict()
 
 
-# `gkserver verify` is read_trace_csv and verify_trace: its JSON report must be the library's
+# `gkserver verify` audits a file's lines as text (simulate._audited_lines), the library an
+# in-memory trace's values (simulate._audited_steps): the two loops must report alike
 @pytest.mark.parametrize("kind", sorted(_TAMPERS))
 def test_cli_and_library_reports_agree_on_tampered_traces(kind, tmp_path, capsys):
     trace = _uniform_trace(3, 50, seed=21)
     trace.steps = list(trace.steps)  # a one-pass stream: keep it to index and re-read
     index, changes = _TAMPERS[kind](trace)
     trace.steps[index] = dataclasses.replace(trace.steps[index], **changes)
-    path = tmp_path / "t.csv"
-    write_trace_csv(trace, str(path))
-    code, cli_report, library_report = _cli_and_library_reports(path, capsys)
+    code, cli_report, library_report = _cli_and_library_reports(trace, tmp_path / "t.csv", capsys)
     assert code == EXIT_VERIFY
     assert cli_report == library_report
 
@@ -558,9 +559,7 @@ def test_cli_and_library_reports_agree_on_edited_columns(column, tmp_path, capsy
     for index in (0, len(trace.steps) // 2, len(trace.steps) - 1):
         s = trace.steps[index]
         trace.steps[index] = dataclasses.replace(s, **{column: getattr(s, column) + 2})
-    path = tmp_path / "t.csv"
-    write_trace_csv(trace, str(path))
-    code, cli_report, library_report = _cli_and_library_reports(path, capsys)
+    code, cli_report, library_report = _cli_and_library_reports(trace, tmp_path / "t.csv", capsys)
     assert code == EXIT_VERIFY
     assert _COLUMN_KINDS[column] in {v["kind"] for v in cli_report["hard_violations"]}
     assert cli_report == library_report
@@ -569,9 +568,8 @@ def test_cli_and_library_reports_agree_on_edited_columns(column, tmp_path, capsy
 @pytest.mark.parametrize("name", sorted(_GOLDEN_REPORTS))
 def test_cli_and_library_reports_agree_on_golden_traces(name, tmp_path, capsys):
     (k, adversary, phases, seed), digest = _GOLDEN_REPORTS[name]
-    path = tmp_path / "t.csv"
-    write_trace_csv(_uniform_trace(k, phases, seed, adversary), str(path))
-    code, cli_report, library_report = _cli_and_library_reports(path, capsys)
+    code, cli_report, library_report = _cli_and_library_reports(
+        _uniform_trace(k, phases, seed, adversary), tmp_path / "t.csv", capsys)
     assert code == EXIT_OK
     assert hashlib.sha256(json.dumps(cli_report, sort_keys=True).encode()).hexdigest() == digest
     assert cli_report == library_report
@@ -583,10 +581,9 @@ def test_cli_and_library_reports_agree_where_no_row_repeats(tmp_path, capsys):
         "k": 64, "n": [3] * 64, "policy": ["1/64"] * 64, "adversary": "lower_bound",
         "phases": 10**6, "seed": 5, "max_steps": 2000, "emit_trace": True})
     path = tmp_path / "t.csv"
-    write_trace_csv(run(cfg)[1], str(path))
+    code, cli_report, library_report = _cli_and_library_reports(run(cfg)[1], path, capsys)
     rows = [line.partition(",")[2] for line in path.read_text().splitlines()[9:]]
     assert len(set(zip([None] + rows, rows))) == len(rows) == 2000
-    code, cli_report, library_report = _cli_and_library_reports(path, capsys)
     assert code == EXIT_OK
     assert cli_report == library_report
 

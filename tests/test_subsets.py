@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,6 +122,19 @@ def test_competitive_gap_values():
     assert competitive_gap(MemorylessPolicy.uniform(2)) == 0
     assert competitive_gap(MemorylessPolicy.from_probs([Fraction(2, 3), Fraction(1, 3)])) == 2
     assert competitive_gap(MemorylessPolicy.uniform(3)) == 0
+
+
+def test_competitive_gap_rejects_a_solution_of_another_policy():
+    with pytest.raises(ValueError, match=r"the solution is of policy \['1/3', '1/3', '1/3'\], "
+                                         r"not of \['1/2', '1/2'\]"):
+        competitive_gap(MemorylessPolicy.uniform(2), solve_system(MemorylessPolicy.uniform(3)))
+
+
+@pytest.mark.parametrize("length", [3, 9])
+def test_solution_rejects_an_h_of_the_wrong_length(length):
+    with pytest.raises(ValueError, match=f"h has {length} entries; a k = 3 system has 8 masks"):
+        subsets.SubsetSolution(MemorylessPolicy.uniform(3), [Fraction(0)] * length, "exact",
+                               Fraction(0))
 
 
 def test_hk_floor_and_gap_sign_random(rng):
@@ -276,13 +290,11 @@ def test_mode_caps():
 
 def _fraction_oracle(policy):
     """h by the shared elimination core over Fraction: the rational reference."""
-    system = build_system(policy)
+    w, rows = build_system(policy).scaled_rows
     n = 1 << policy.k
-    rhs = [Fraction(0)] * n
-    for mask, (_, b) in system.rows.items():
-        rhs[mask] = b
-    rows = {mask: dict(coeffs) for mask, (coeffs, _) in system.rows.items()}
-    return tuple(subsets._substitute(subsets._eliminate(rows, n, Fraction(0)), rhs))
+    factors = subsets._eliminate(([Fraction(v, w) for v in vals] for _, vals in rows), n,
+                                 Fraction(0))
+    return tuple(subsets._substitute(factors, [Fraction(0)] + [Fraction(1)] * (n - 1)))
 
 
 # one weight: small ones tie often, large ones skew the policy
@@ -351,8 +363,7 @@ def test_rebuild_waits_for_the_digits_it_needs(weights):
     system = build_system(MemorylessPolicy.from_probs([Fraction(c, sum(weights)) for c in weights]))
     w, rows = system.scaled_rows
     n = 1 << system.k
-    factors = subsets._eliminate({mask: dict(zip(cols, vals))
-                                  for mask, (cols, vals) in enumerate(rows, 1)}, n, 0, subsets._PRIME)
+    factors = subsets._eliminate((vals for _, vals in rows), n, 0, subsets._PRIME)
     lifted, r = [], [0] + [w] * (n - 1)
     for _ in range(12):
         y = subsets._substitute(factors, r)
@@ -373,7 +384,7 @@ def test_rebuild_waits_for_the_digits_it_needs(weights):
 
 def test_pivot_vanishing_modulo_the_prime_raises():
     with pytest.raises(ArithmeticError, match="zero pivot at mask 0x1 modulo the prime"):
-        subsets._eliminate({1: {1: 6}}, 2, 0, 3)
+        subsets._eliminate([[6]], 2, 0, 3)
 
 
 @pytest.mark.parametrize("k, u_entries, l_entries",
@@ -384,11 +395,11 @@ def test_factor_fill_in(k, u_entries, l_entries):
     for policy in (MemorylessPolicy.uniform(k), random_policy(k, random.Random(k))):
         w, rows = build_system(policy).scaled_rows
         for scale, zero, modulus in ((lambda a: a, 0, subsets._PRIME), (lambda a: a / w, 0.0, 0)):
-            factors = subsets._eliminate({mask: {c: scale(a) for c, a in zip(cols, vals)}
-                                          for mask, (cols, vals) in enumerate(rows, 1)},
-                                         1 << k, zero, modulus)
-            assert sum(len(cols) for cols, _ in factors.upper) == u_entries
-            assert sum(len(rids) for rids, _ in factors.lower) == l_entries
+            plan = subsets._eliminate(([scale(a) for a in vals] for _, vals in rows),
+                                      1 << k, zero, modulus).plan
+            # pivot x's U row is ustart[x]:lstart[x], its L column lstart[x]:ustart[x - 1]
+            assert sum(b - a for a, b in zip(plan.ustart, plan.lstart)) == u_entries
+            assert sum(b - a for a, b in zip(plan.lstart[1:], plan.ustart)) == l_entries
 
 
 def test_solves_at_one_k_reuse_its_cached_schedule():
@@ -409,7 +420,66 @@ def test_float_and_residue_factors_index_through_the_schedule():
                                   ([vals for _, vals in rows], 0, subsets._PRIME)):
         factors = subsets._eliminate(values, 1 << k, zero, modulus)
         assert factors.plan is plan and len(factors.values) == len(plan.index)
-        assert all(ids.obj is plan.index.obj for ids, _ in factors.upper + factors.lower[1:])
+
+
+def _symbolic_schedule(n):
+    """`_schedule(n)`, as lists, from an elimination of the pattern itself.
+
+    Each row is an insertion-ordered dict of its columns, in `_columns`'
+    order. Pivots go in decreasing mask order: pivot x's U row is what is
+    left of row x without its diagonal, in dict order, and its L column
+    the rows below x that hold column x, in increasing order; each of
+    those drops x and appends the U columns it lacks. The store positions
+    follow the `_Schedule` layout.
+    """
+    pattern = list(subsets._columns(n.bit_length() - 1))
+    rows = {mask: dict.fromkeys(cols) for mask, cols in enumerate(pattern, 1)}
+    holders = {c: set() for c in range(1, n)}  # the rows below c that hold column c
+    for mask, cols in enumerate(pattern, 1):
+        for c in cols:
+            if c > mask:
+                holders[c].add(mask)
+    upper, lower = {}, {}
+    for x in range(n - 1, 0, -1):
+        row = rows.pop(x)
+        del row[x]
+        upper[x], lower[x] = list(row), sorted(holders.pop(x))
+        for r in lower[x]:
+            del rows[r][x]
+            for c in upper[x]:
+                if c not in rows[r]:
+                    rows[r][c] = None
+                    if c > r:
+                        holders[c].add(r)
+    ustart, lstart, qstart = [0] * n, [0] * n, [0] * n
+    end, updated = n, 0
+    for x in range(n - 1, 0, -1):
+        ustart[x], lstart[x], qstart[x] = end, end + len(upper[x]), updated
+        end, updated = lstart[x] + len(lower[x]), updated + len(lower[x]) * len(upper[x])
+    ustart[0] = lstart[0] = end
+    qstart[0] = updated
+    urank = {x: {c: i for i, c in enumerate(cols)} for x, cols in upper.items()}
+    lrank = {x: {r: i for i, r in enumerate(rids)} for x, rids in lower.items()}
+
+    def position(r, c):
+        if r == c:
+            return r
+        return ustart[r] + urank[r][c] if c < r else lstart[c] + lrank[c][r]
+
+    return subsets._Schedule(
+        sources=[position(mask, c) for mask, cols in enumerate(pattern, 1) for c in cols],
+        index=[*range(n), *(i for x in range(n - 1, 0, -1) for i in upper[x] + lower[x])],
+        ustart=ustart, lstart=lstart, qstart=qstart,
+        updates=[position(r, c) for x in range(n - 1, 0, -1) for r in lower[x] for c in upper[x]])
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_schedule_matches_a_symbolic_elimination(k):
+    """`_schedule`'s closed form is the elimination it replays, entry by entry."""
+    n = 1 << k
+    plan, expected = subsets._schedule(n), _symbolic_schedule(n)
+    for field in subsets._Schedule._fields:
+        assert np.asarray(getattr(plan, field)).tolist() == getattr(expected, field), field
 
 
 def _fraction_monotonicity(sol):
