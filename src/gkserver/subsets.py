@@ -26,10 +26,15 @@ fill-in tiny (each reduced row touches only a handful of "tail" subsets).
 Every policy at a given k shares the sparsity pattern, and the pattern
 has a closed form, so where each pivot reads and writes is worked out
 once per k and cached (`_schedule`); each factorization replays it with
-numpy over one flat store, in float64 or over Python ints.
+numpy over one flat store, in float64 or over Python ints. Substitution
+replays a second per-k plan (`_blocks`): the L solve walks aligned
+blocks of 32 masks, entry by entry within a block and with one vector
+update for the entries that leave it, and the U solve goes a popcount
+level at a time.
 The system is assembled in integers, as W A h = W b straight from the
-weights W p, W the lcm of p's denominators; its Fraction rows are only a
-view. The exact mode factors W A once modulo a 521-bit prime, lifts the
+weights W p, W the lcm of p's denominators, over a per-k pattern
+(`_pattern`) that the integer residual reads too; its Fraction rows are
+only a view. The exact mode factors W A once modulo a 521-bit prime, lifts the
 solution p-adically by substitution, rebuilds h = x / delta by rational
 reconstruction and returns it only if W A x == delta W b holds in
 integers; it runs through k = 12. The iterative mode factors once with
@@ -44,12 +49,12 @@ fails raises an ArithmeticError (SolverError for iterative refinement).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from math import gcd, isqrt
-from operator import eq, mul
+from operator import eq
 from typing import NamedTuple
 
 import numpy as np
@@ -85,11 +90,12 @@ EXACT_MODE_MAX_K = 12
 # The largest k at which every iterative solve ends within about 10 s and
 # 0.6 GB, one that spends the whole 60-pass budget included. Measured on a
 # shared 2-vCPU Xeon, Python 3.11, as whole `gkserver system` runs: at
-# k = 14 uniform takes 1.3-1.7 s (4 passes), random policies 2.0-3.1 s
-# (12-18 passes) and a policy that exhausts the budget 8.3-9.4 s, at a
-# peak RSS of 65-69 MB. Random k = 15 policies need 30-37 passes and
-# 7.1-8.2 s a solve, at 114 MB; a random k = 16 one exhausted the budget
-# in 38 s.
+# k = 14 uniform takes 0.8 s (4 passes), random policies
+# (`random.Random(1)`-(3), weights 1..40) 1.2-1.7 s (12-18 passes) and a
+# policy that exhausts the budget 3.0-3.8 s, at a peak RSS of 64-67 MB.
+# Random k = 15 policies need 30-37 passes and 4.0-4.6 s a solve, at
+# 111 MB; a random k = 16 one exhausted the budget in 38 s, measured
+# before substitution went by blocks and levels.
 ITERATIVE_MODE_MAX_K = 14
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
 
@@ -160,11 +166,14 @@ class SubsetSystem:
 
     scaled_rows = (W, [(columns, W coefficients), ...]), the row of mask
     i + 1 at index i, each over at most k + 2 masks; every right side is
-    1, so W b is W in every row, and h(0) = 0 is implicit.
+    1, so W b is W in every row, and h(0) = 0 is implicit. coefficients
+    holds the same W coefficients end to end, row by row, as an object
+    array: the form the solvers and `_residual` read.
     """
 
     policy: MemorylessPolicy
     scaled_rows: tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]
+    coefficients: np.ndarray = field(repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -187,18 +196,34 @@ class SubsetSystem:
             raise ValueError(f"h has {len(h)} entries; a k = {self.k} system has {len(rows) + 1} masks")
         h = _scaled(h)
         unit = w * h.delta
-        return Fraction(max(map(abs, _residual(rows, repeat(unit), h.x))), unit)
+        return Fraction(max(map(abs, _residual(self, unit, h.x))), unit)
 
 
-def _residual(rows: list, b, x: list[int]) -> list[int]:
-    """b - (W A) x in integers, b and x indexed by mask; entry 0 is 0.
+# rows whose residual sums are taken at once; bounds the products held, which
+# grow with the bits of x in exact mode
+_RESIDUAL_ROWS = 1 << 8
 
-    With h = x / delta and every entry of b equal to delta W (W b is W),
-    this is the scaled residual W delta (b - A h); the p-adic lift passes
-    its running residual as b.
+
+def _residual(system: SubsetSystem, b, x: list[int]) -> list[int]:
+    """b - (W A) x in integers, x indexed by mask; entry 0 is 0.
+
+    b is one integer for every row, or a list indexed by mask. With
+    h = x / delta and b = delta W (W b is W), this is the scaled residual
+    W delta (b - A h); the p-adic lift passes its running residual as b.
+    The products of `system.coefficients` with the entries of x they
+    meet are summed row by row, _RESIDUAL_ROWS rows at a time.
     """
-    return [0] + [bi - sum(map(mul, vals, map(x.__getitem__, cols)))
-                  for bi, (cols, vals) in zip(islice(b, 1, None), rows)]
+    pattern = _pattern(system.k)
+    starts, coefficients = pattern.starts, system.coefficients
+    x, b = np.array(x, object), np.array(b, object)
+    out = [0]
+    for r0 in range(0, len(starts) - 1, _RESIDUAL_ROWS):
+        r1 = min(r0 + _RESIDUAL_ROWS, len(starts) - 1)
+        e0, e1 = starts[r0], starts[r1]
+        sums = np.add.reduceat(coefficients[e0:e1] * x[pattern.columns[e0:e1]],
+                               starts[r0:r1] - e0)
+        out += ((b[r0 + 1:r1 + 1] if b.ndim else b) - sums).tolist()
+    return out
 
 
 def _columns(k: int):
@@ -214,25 +239,55 @@ def _columns(k: int):
             mask | 1 << j for j in range(k) if not mask >> j & 1) + (mask,)
 
 
+class _Pattern(NamedTuple):
+    """The sparsity pattern every system at k shares, row by row in mask order.
+
+    rows holds each row's column tuple, as `_columns` yields it, over one
+    int object per mask. The entries, end to end, are
+    columns[starts[i]:starts[i + 1]] for row i, the diagonal last; bits[j]
+    is the metric whose weight entry j carries: the one bit of S ^ column
+    for a neighbour, min(S) on the diagonal.
+    """
+
+    rows: list[tuple[int, ...]]
+    starts: np.ndarray
+    columns: np.ndarray
+    bits: np.ndarray
+
+
+@cache
+def _pattern(k: int) -> _Pattern:
+    """The pattern of the k-metric systems; cached."""
+    masks = list(range(1 << k))  # each column tuple refers to these: one int object per mask
+    rows = [tuple(map(masks.__getitem__, cols)) for cols in _columns(k)]
+    lengths = np.fromiter(map(len, rows), np.int32, len(rows))
+    starts = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
+    columns = np.fromiter(chain.from_iterable(rows), np.int32, starts[-1])
+    row_masks = np.repeat(np.arange(1, 1 << k, dtype=np.int32), lengths)
+    bit = np.where(columns == row_masks, row_masks & -row_masks, columns ^ row_masks)
+    return _Pattern(rows, starts, columns, np.bitwise_count(bit - 1).astype(np.int8))
+
+
 def build_system(policy: MemorylessPolicy) -> SubsetSystem:
     """Assemble the integer equations W A h = W b for every nonempty subset.
 
-    Each row's columns come from `_columns`; the coefficient of a
-    neighbour S ^ {i} is -W p_i, and the diagonal W (p_m + sum_{j not in
-    S} p_j) is built from the running complement sums W (1 - sum_{j in S}
-    p_j), one subtraction a mask.
+    Each row's columns come from the cached `_pattern`; the coefficient of
+    a neighbour S ^ {i} is -W p_i, and the diagonal W (p_m + sum_{j not
+    in S} p_j) is W p_m plus W minus the weight of S, the weights of
+    every mask summed in one doubling pass over the metrics.
     """
-    k = policy.k
     w, weights = common_denominator(policy.probs)
-    outside = [w] * (1 << k)
-    rows = []
-    for mask, cols in enumerate(_columns(k), 1):
-        low = mask & -mask
-        wm = weights[low.bit_length() - 1]
-        outside[mask] = outside[mask ^ low] - wm
-        rows.append((cols, (*[-weights[(c ^ mask).bit_length() - 1] for c in cols[:-1]],
-                            wm + outside[mask])))
-    return SubsetSystem(policy=policy, scaled_rows=(w, rows))
+    pattern = _pattern(policy.k)
+    inside = np.zeros(1, object)  # W sum_{i in S} p_i, by mask
+    for weight in weights:
+        inside = np.concatenate((inside, inside + weight))
+    # negated before the gather, so entries share the k weights' int objects
+    coefficients = np.array([-v for v in weights], object)[pattern.bits]
+    diagonal = pattern.starts[1:] - 1
+    coefficients[diagonal] = w - inside[1:] - coefficients[diagonal]
+    values, bounds = coefficients.tolist(), pattern.starts.tolist()
+    rows = [(cols, tuple(values[i:j])) for cols, i, j in zip(pattern.rows, bounds, bounds[1:])]
+    return SubsetSystem(policy=policy, scaled_rows=(w, rows), coefficients=coefficients)
 
 
 class _Scaled(Sequence):
@@ -420,32 +475,30 @@ def _schedule(n: int) -> _Schedule:
 class _Factors(NamedTuple):
     """LU factors of a subset system, pivoted in decreasing mask order.
 
-    `values` is the store `_eliminate` filled, laid out as `plan` (a
-    `_Schedule`) says: pivot x's diagonal, U row and L column are its
-    slices, and `plan.index` names their columns and rows. Float values
-    stay packed behind a memoryview, which reads them as Python floats;
-    residues and Fractions are a list. With a nonzero modulus the
-    entries are residues and values[x] holds the inverse of the pivot,
-    so substitution multiplies by it.
+    `values` is the store `_eliminate` filled, a numpy array laid out as
+    `plan` (a `_Schedule`) says: pivot x's diagonal, U row and L column
+    are its slices, and `plan.index` names their columns and rows. With
+    a nonzero modulus the entries are residues and values[x] holds the
+    inverse of the pivot, so substitution multiplies by it.
     """
 
-    values: Sequence
+    values: np.ndarray
     plan: _Schedule
     modulus: int
 
 
-def _eliminate(rows, n: int, zero, modulus: int = 0) -> _Factors:
+def _eliminate(values, n: int, zero, modulus: int = 0) -> _Factors:
     """Factor step of the shared elimination core: a numeric replay of `_schedule(n)`.
 
-    `rows` holds the coefficients in one numeric type (int residues
+    `values` holds the coefficients in one numeric type (int residues
     modulo a prime for the exact path, float for the preconditioner,
-    Fraction for the test oracle): one iterable per row in mask order,
-    each in `scaled_rows`' column order. The `_Schedule`'s sources place
-    them in a float64 store for floats, else an object one. Each pivot
-    divides its U row by the diagonal and subtracts its outer product
-    L x U from the entries the schedule names, so every entry sees the
-    same operations in the same order as in an elimination that keeps
-    each row as a dict, and float factors are bit for bit the same.
+    Fraction for the test oracle), end to end in `scaled_rows`' order.
+    The `_Schedule`'s sources place them in a float64 store for floats,
+    else an object one. Each pivot divides its U row by the diagonal and
+    subtracts its outer product L x U from the entries the schedule
+    names, so every entry sees the same operations in the same order as
+    in an elimination that keeps each row as a dict, and float factors
+    are bit for bit the same.
 
     Given a modulus, integer rows are factored modulo it. Updates are not
     reduced: the pivot row and each L factor are reduced when read, so
@@ -453,7 +506,7 @@ def _eliminate(rows, n: int, zero, modulus: int = 0) -> _Factors:
     """
     plan = _schedule(n)
     store = np.full(len(plan.index), zero, float if isinstance(zero, float) else object)
-    store[plan.sources] = np.fromiter(chain.from_iterable(rows), store.dtype, len(plan.sources))
+    store[plan.sources] = values
     ustart, lstart, qstart = plan.ustart, plan.lstart, plan.qstart
     prime = np.array(modulus, object)  # numpy reads a 0-d object array faster than a big int
     # pivot x, where its U row starts, its L column starts and ends, its updates start and end
@@ -478,28 +531,115 @@ def _eliminate(rows, n: int, zero, modulus: int = 0) -> _Factors:
         else:
             expr /= d
         np.subtract.at(store, plan.updates[q0:q1], np.multiply.outer(f, expr).ravel())
-    return _Factors(memoryview(store) if store.dtype == float else store.tolist(), plan, modulus)
+    return _Factors(store, plan, modulus)
+
+
+# masks in a block of the forward substitution: L updates within a block are
+# applied one by one, those that leave it all at once
+_BLOCK = 1 << 5
+
+
+class _Blocks(NamedTuple):
+    """How `_substitute` walks the factors of every system with n masks.
+
+    The masks fall into aligned blocks of _BLOCK, walked from the top.
+    Pivot x's L column holds the rows (x ^ b) | t for each bit b of x and
+    t < low (`_schedule`), so the rows in x's own block, those of the
+    bits b below _BLOCK, are the column's suffix, and their offsets in
+    the block depend on x's offset alone: local[0][r] lists them for
+    block 0 (which lacks the empty set), local[1][r] for every other
+    block. Per block from the top, inner holds the store positions of
+    those suffixes and outer those of the columns' other entries, pivots
+    in decreasing order, and pivot the offset of each outer entry's pivot.
+
+    Every U column of a mask is a subset of it, so the U solve goes by
+    popcount level: levels[j - 1] is (the masks with j bits, one
+    (targets, store positions, columns) per U slot s, over the masks
+    whose U row has an s-th entry).
+    """
+
+    local: tuple[tuple[tuple[int, ...], ...], ...]
+    inner: list[np.ndarray]
+    outer: list[np.ndarray]
+    pivot: list[np.ndarray]
+    levels: list[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]]
+
+
+# the block plans worked out so far, by n
+_BLOCK_PLANS: dict[int, _Blocks] = {}
+
+
+def _blocks(plan: _Schedule) -> _Blocks:
+    """The block plan of the substitutions of the systems with n masks, from
+    their schedule `plan`; worked out once per n."""
+    n = len(plan.ustart)
+    if n in _BLOCK_PLANS:
+        return _BLOCK_PLANS[n]
+    index, ustart, lstart = (np.asarray(a) for a in (plan.index, plan.ustart, plan.lstart))
+    x = np.arange(n - 1, 0, -1)  # the pivots, in elimination order
+    low, end = x & -x, ustart[x - 1]
+    # the rows of the bits at or above _BLOCK leave the block; all of them when low is there
+    split = np.where(low < _BLOCK, lstart[x] + np.bitwise_count(x // _BLOCK) * low, end)
+    local = tuple(tuple(tuple(int(i) - base for i in index[split[n - 1 - p]:end[n - 1 - p]])
+                        if p else () for p in range(base, min(base + _BLOCK, n)))
+                  for base in (0, _BLOCK))
+
+    def by_block(a: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+        """a, counts[i] entries for x[i], cut after the bottom pivot of each block."""
+        return np.split(a, np.cumsum(counts)[_BLOCK - 1:-1:_BLOCK])
+
+    icount, ocount = end - split, split - lstart[x]
+    inner = by_block(_ranges(split, icount).astype(np.int32), icount)
+    outer = by_block(_ranges(lstart[x], ocount).astype(np.int32), ocount)
+    pivot = by_block(np.repeat((x % _BLOCK).astype(np.uint8), ocount), ocount)
+    pop, ulen = np.bitwise_count(np.arange(n)), lstart - ustart
+    levels = []
+    for j in range(1, n.bit_length()):
+        masks = np.flatnonzero(pop == j)
+        slots = []
+        for slot in range(int(ulen[masks].max())):
+            targets = masks[ulen[masks] > slot]
+            at = ustart[targets] + slot
+            slots.append((targets.astype(np.int32), at, index[at]))
+        levels.append((masks.astype(np.int32), slots))
+    _BLOCK_PLANS[n] = blocks = _Blocks(local, inner, outer, pivot, levels)
+    return blocks
 
 
 def _substitute(factors: _Factors, rhs) -> list:
     """Solve A h = rhs from the factors; rhs[0] is returned as h[0].
 
-    Applies the L columns in pivot order, then back-substitutes through U
-    in increasing mask order. Residue factors return residues.
+    Applies the L columns in pivot order, block by block (`_blocks`):
+    within a block one by one over a list of its h, then every update
+    that leaves it in one `np.subtract.at`, in pivot order, so each
+    entry receives its subtractions in decreasing pivot order. Then
+    back-substitutes through U a popcount level at a time, one vector op
+    per U slot, in each row's order. Every float sees the operations of
+    a walk entry by entry, in the same order. Residue factors return
+    residues, reduced after each level.
     """
-    values, plan, modulus = factors
-    index, ustart, lstart = plan.index, plan.ustart, plan.lstart
-    h = list(rhs)
-    for x, l0, l1 in zip(range(len(h) - 1, 0, -1), lstart[:0:-1], ustart[-2::-1]):
-        hx = h[x] = h[x] * values[x] % modulus if modulus else h[x] / values[x]
-        for rid, f in zip(index[l0:l1], values[l0:l1]):
-            h[rid] -= f * hx
-    for x, u0, u1 in zip(range(1, len(h)), ustart[1:], lstart[1:]):
-        val = h[x]
-        for c, v in zip(index[u0:u1], values[u0:u1]):
-            val -= v * h[c]
-        h[x] = val % modulus if modulus else val
-    return h
+    store, plan, modulus = factors
+    n = len(rhs)
+    blocks, index = _blocks(plan), np.asarray(plan.index)
+    h = np.array(rhs, store.dtype)
+    for base, inner, outer, pivot in zip(range((n - 1) & -_BLOCK, -1, -_BLOCK),
+                                         blocks.inner, blocks.outer, blocks.pivot):
+        top = min(base + _BLOCK, n)
+        hb, diagonal = h[base:top].tolist(), store[base:top].tolist()
+        factor, local = iter(store[inner].tolist()), blocks.local[base > 0]
+        for r in range(top - base - 1, -1 if base else 0, -1):  # mask 0 is no pivot
+            hx = hb[r] = hb[r] * diagonal[r] % modulus if modulus else hb[r] / diagonal[r]
+            for rid, f in zip(local[r], factor):  # local first: zip then leaves factor's next
+                hb[rid] -= f * hx
+        h[base:top] = hb
+        np.subtract.at(h, index[outer], store[outer] * h[base:top][pivot])
+    prime = np.array(modulus, object)
+    for masks, slots in blocks.levels:
+        for targets, at, columns in slots:
+            h[targets] -= store[at] * h[columns]
+        if modulus:
+            h[masks] %= prime
+    return h.tolist()
 
 
 # The Mersenne prime 2^521 - 1: the base of the p-adic lift. Elimination
@@ -584,7 +724,7 @@ def _rebuild(digits: list[list[int]], probe: tuple[int, int]):
     yield den, nums
 
 
-def _lift(scaled_rows: tuple, n: int) -> tuple[int, list[int]]:
+def _lift(system: SubsetSystem) -> tuple[int, list[int]]:
     """Dixon's p-adic lift: (delta, x) with W A x = delta W b, uncertified.
 
     W A is factored once modulo the prime P. Each lift solves for the
@@ -593,8 +733,9 @@ def _lift(scaled_rows: tuple, n: int) -> tuple[int, list[int]]:
     to the same fraction at two lifts in a row, `_rebuild` settles the
     entries, asking for more lifts as it needs them.
     """
-    w, rows = scaled_rows
-    factors = _eliminate((vals for _, vals in rows), n, 0, _PRIME)
+    w, rows = system.scaled_rows
+    n = 1 << system.k
+    factors = _eliminate(system.coefficients, n, 0, _PRIME)
     r = [0] + [w] * (n - 1)
     hadamard_bits = sum((w * w + sum(v * v for v in vals)).bit_length() for _, vals in rows)
     # Numerators and denominators are Cramer determinants, below the
@@ -606,7 +747,7 @@ def _lift(scaled_rows: tuple, n: int) -> tuple[int, list[int]]:
     for _ in range(max_lifts):
         y = _substitute(factors, r)
         digits.append(y)
-        r = [v // _PRIME for v in _residual(rows, r, y)]
+        r = [v // _PRIME for v in _residual(system, r, y)]
         m *= _PRIME
         if rebuild is None:
             bound = isqrt(m >> 1)
@@ -628,9 +769,9 @@ def _solve_exact(system: SubsetSystem) -> _Scaled:
     vanishes modulo P, or if no reconstruction settles within the
     Hadamard bound.
     """
-    w, rows = system.scaled_rows
-    delta, x = _lift(system.scaled_rows, 1 << system.k)
-    for mask, v in enumerate(_residual(rows, repeat(w * delta), x)):
+    w, _ = system.scaled_rows
+    delta, x = _lift(system)
+    for mask, v in enumerate(_residual(system, w * delta, x)):
         if v:
             raise ArithmeticError(f"p-adic solution fails the integer check at mask {mask:#x}")
     return _Scaled(delta, x)
@@ -649,21 +790,23 @@ def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: 
     passes reach any practical tolerance.
 
     Stopping is certified: the system matrix is an M-matrix whose inverse
-    is nonnegative with row sums h(S), so every component error is at
-    most max(h) times the max residual. The loop stops once that product
-    is below the tolerance, which also puts the residual itself far below
-    it. Returns (h as a view over (2^E, X), iterations, residual).
+    is nonnegative with row sums h*(S), the exact solution, so with rho
+    the max residual every error is |h* - h| <= rho max h*, at most
+    rho (max h + |h* - h|). The loop stops once rho (1 + max h) is below
+    the tolerance t, which bounds every error below t when t <= 1, so a
+    larger tolerance is met as 1. That also puts the residual itself far
+    below it. Returns (h as a view over (2^E, X), iterations, residual).
     """
     n = 1 << system.k
-    w, rows = system.scaled_rows
+    w, _ = system.scaled_rows
     # a / w is float(Fraction(a, w)): int true division rounds correctly
-    factors = _eliminate(([a / w for a in vals] for _, vals in rows), n, 0.0)
-    tn, td = tolerance.numerator, tolerance.denominator
+    factors = _eliminate((system.coefficients / w).astype(float), n, 0.0)
+    tn, td = min(tolerance, 1).as_integer_ratio()  # the error bound needs t <= 1
     x = [0] * n
     e = 0
     for iteration in range(max_iterations + 1):
         scale = w << e
-        r = _residual(rows, repeat(scale), x)
+        r = _residual(system, scale, x)
         worst = max(map(abs, r))
         # worst / scale * (1 + max(x) / 2^E) < tn / td, cross-multiplied
         if worst * ((1 << e) + max(x)) * td < (tn * scale) << e:
@@ -804,12 +947,12 @@ def phi_transform(sol: SubsetSolution) -> Sequence[Fraction]:
     Returns phi as a view like h, over x(full) - x(full \\ S) and h's delta.
     """
     full = (1 << sol.k) - 1
-    w, rows = build_system(sol.policy).scaled_rows
+    system = build_system(sol.policy)
     delta, x = sol.scaled
-    unit = w * delta
+    unit = system.scaled_rows[0] * delta
     slack = sol.check_slack
     # phi's equations are the system's over h - h(empty): phi(full) reads h(empty)
-    r = _residual(rows, repeat(unit), [v - x[0] for v in x])
+    r = _residual(system, unit, [v - x[0] for v in x])
     for sbar in range(full):
         if abs(r[full ^ sbar]) * slack.denominator > slack.numerator * unit:
             raise ValueError(f"transformed equation violated at Sbar mask {sbar:#x}: "

@@ -198,6 +198,15 @@ def test_system_iterative_mode(capsys):
     assert abs(d["h_k_float"] - 15.0) < 1e-9
 
 
+def test_system_iterative_tolerance_above_one_still_bounds_the_error(capsys):
+    """The stop rule bounds the error only at tolerances up to 1; a larger one is met as 1."""
+    assert run_cli("system", "--p", ",".join(["1/8"] * 8), "--mode", "iterative",
+                   "--tolerance", "2") == EXIT_OK
+    d = json.loads(capsys.readouterr().out)
+    assert d["iterations"] >= 1
+    assert abs(Fraction(d["h_k"]) - 109600) < 1 and abs(Fraction(d["gap"])) < 1
+
+
 @pytest.mark.parametrize("mode", ["exact", "iterative"])
 @pytest.mark.parametrize("tolerance", ["abc", "nan", "inf", "1/0", "0", "-0.5"])
 def test_system_rejects_bad_tolerance(tolerance, mode, capsys):

@@ -256,6 +256,17 @@ def test_iterative_uniform_k13():
     assert abs(sol.h_k - k * alpha(k)) < DEFAULT_TOLERANCE
 
 
+@pytest.mark.parametrize("k", [4, 8])
+@pytest.mark.parametrize("tolerance", [Fraction(2), Fraction(3, 2)])
+def test_iterative_tolerance_above_one_bounds_the_error_by_one(k, tolerance):
+    """The certified bound holds for tolerances up to 1: a larger one stops as 1 would."""
+    for policy in (MemorylessPolicy.uniform(k), random_policy(k, random.Random(k))):
+        exact = solve_system(policy)
+        approx = solve_system(policy, mode="iterative", tolerance=tolerance)
+        assert approx.iterations >= 1 and approx.tolerance == tolerance
+        assert max(abs(a - b) for a, b in zip(approx.h, exact.h)) < 1
+
+
 def test_iterative_reports_residual_on_budget_exhaustion():
     policy = MemorylessPolicy.uniform(4)
     with pytest.raises(SolverError) as err:
@@ -292,7 +303,7 @@ def _fraction_oracle(policy):
     """h by the shared elimination core over Fraction: the rational reference."""
     w, rows = build_system(policy).scaled_rows
     n = 1 << policy.k
-    factors = subsets._eliminate(([Fraction(v, w) for v in vals] for _, vals in rows), n,
+    factors = subsets._eliminate([Fraction(v, w) for _, vals in rows for v in vals], n,
                                  Fraction(0))
     return tuple(subsets._substitute(factors, [Fraction(0)] + [Fraction(1)] * (n - 1)))
 
@@ -361,14 +372,14 @@ def test_rebuild_waits_for_the_digits_it_needs(weights):
     feeding the digits one at a time reaches it.
     """
     system = build_system(MemorylessPolicy.from_probs([Fraction(c, sum(weights)) for c in weights]))
-    w, rows = system.scaled_rows
+    w = system.scaled_rows[0]
     n = 1 << system.k
-    factors = subsets._eliminate((vals for _, vals in rows), n, 0, subsets._PRIME)
+    factors = subsets._eliminate(system.coefficients, n, 0, subsets._PRIME)
     lifted, r = [], [0] + [w] * (n - 1)
     for _ in range(12):
         y = subsets._substitute(factors, r)
         lifted.append(y)
-        r = [v // subsets._PRIME for v in subsets._residual(rows, r, y)]
+        r = [v // subsets._PRIME for v in subsets._residual(system, r, y)]
     m = subsets._PRIME ** len(lifted)
     bound = math.isqrt(m >> 1)
     probe = subsets._reconstruct(subsets._lifted(lifted, n - 1), m, bound, bound)
@@ -379,12 +390,12 @@ def test_rebuild_waits_for_the_digits_it_needs(weights):
     while found is None:
         digits.append(lifted[len(digits)])
         found = next(rebuild)
-    assert found == subsets._lift(system.scaled_rows, n)
+    assert found == subsets._lift(system)
 
 
 def test_pivot_vanishing_modulo_the_prime_raises():
     with pytest.raises(ArithmeticError, match="zero pivot at mask 0x1 modulo the prime"):
-        subsets._eliminate([[6]], 2, 0, 3)
+        subsets._eliminate([6], 2, 0, 3)
 
 
 @pytest.mark.parametrize("k, u_entries, l_entries",
@@ -395,7 +406,7 @@ def test_factor_fill_in(k, u_entries, l_entries):
     for policy in (MemorylessPolicy.uniform(k), random_policy(k, random.Random(k))):
         w, rows = build_system(policy).scaled_rows
         for scale, zero, modulus in ((lambda a: a, 0, subsets._PRIME), (lambda a: a / w, 0.0, 0)):
-            plan = subsets._eliminate(([scale(a) for a in vals] for _, vals in rows),
+            plan = subsets._eliminate([scale(a) for _, vals in rows for a in vals],
                                       1 << k, zero, modulus).plan
             # pivot x's U row is ustart[x]:lstart[x], its L column lstart[x]:ustart[x - 1]
             assert sum(b - a for a, b in zip(plan.ustart, plan.lstart)) == u_entries
@@ -410,14 +421,30 @@ def test_solves_at_one_k_reuse_its_cached_schedule():
     assert (info.misses, info.hits) == (1, 1)
 
 
+def test_solves_at_one_k_reuse_their_cached_pattern_and_block_plan(monkeypatch):
+    """Each k's pattern and block plan are worked out once, then read by every
+    build and substitution."""
+    subsets._pattern.cache_clear()
+    monkeypatch.setattr(subsets, "_BLOCK_PLANS", {})
+    solve_system(MemorylessPolicy.uniform(6))
+    blocks = subsets._BLOCK_PLANS[1 << 6]
+    sol = solve_system(random_policy(6, random.Random(6)), mode="iterative")
+    assert sol.iterations >= 1 and subsets._BLOCK_PLANS == {1 << 6: blocks}
+    assert subsets._blocks(subsets._schedule(1 << 6)) is blocks
+    info = subsets._pattern.cache_info()
+    assert info.misses == 1 and info.hits >= 3
+    assert build_system(MemorylessPolicy.uniform(6)).scaled_rows[1][0][0] is \
+        subsets._pattern(6).rows[0]
+
+
 def test_float_and_residue_factors_index_through_the_schedule():
     """Both numeric types replay the one cached schedule of their k: no solve
     builds index arrays of its own."""
     k = 6
     w, rows = build_system(random_policy(k, random.Random(k))).scaled_rows
     plan = subsets._schedule(1 << k)
-    for values, zero, modulus in (([[a / w for a in vals] for _, vals in rows], 0.0, 0),
-                                  ([vals for _, vals in rows], 0, subsets._PRIME)):
+    for values, zero, modulus in (([a / w for _, vals in rows for a in vals], 0.0, 0),
+                                  ([a for _, vals in rows for a in vals], 0, subsets._PRIME)):
         factors = subsets._eliminate(values, 1 << k, zero, modulus)
         assert factors.plan is plan and len(factors.values) == len(plan.index)
 
@@ -480,6 +507,95 @@ def test_schedule_matches_a_symbolic_elimination(k):
     plan, expected = subsets._schedule(n), _symbolic_schedule(n)
     for field in subsets._Schedule._fields:
         assert np.asarray(getattr(plan, field)).tolist() == getattr(expected, field), field
+
+
+def _sequential_substitute(factors, rhs):
+    """`_substitute` as a walk entry by entry: the oracle of its block plan.
+
+    Applies the L columns in pivot order, then back-substitutes through U
+    in increasing mask order. Residue factors return residues.
+    """
+    values, plan, modulus = factors
+    values = values.tolist()  # Python scalars, one per store entry
+    index, ustart, lstart = plan.index, plan.ustart, plan.lstart
+    h = list(rhs)
+    for x, l0, l1 in zip(range(len(h) - 1, 0, -1), lstart[:0:-1], ustart[-2::-1]):
+        hx = h[x] = h[x] * values[x] % modulus if modulus else h[x] / values[x]
+        for rid, f in zip(index[l0:l1], values[l0:l1]):
+            h[rid] -= f * hx
+    for x, u0, u1 in zip(range(1, len(h)), ustart[1:], lstart[1:]):
+        val = h[x]
+        for c, v in zip(index[u0:u1], values[u0:u1]):
+            val -= v * h[c]
+        h[x] = val % modulus if modulus else val
+    return h
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_block_substitution_matches_the_sequential_walk(k):
+    """Floats bit for bit, residues and Fractions exactly, on random right sides;
+    k <= 5 is one block."""
+    n, rng = 1 << k, random.Random(k)
+    for policy in (MemorylessPolicy.uniform(k), random_policy(k, random.Random(k))):
+        system = build_system(policy)
+        w, rows = system.scaled_rows
+        values = [v for _, vals in rows for v in vals]
+        cases = [(subsets._eliminate([v / w for v in values], n, 0.0),
+                  [0.0] + [rng.uniform(-1, 1) for _ in range(n - 1)]),
+                 (subsets._eliminate(values, n, 0, subsets._PRIME),
+                  [0] + [rng.randrange(subsets._PRIME) for _ in range(n - 1)]),
+                 (subsets._eliminate([Fraction(v, w) for v in values], n, Fraction(0)),
+                  [Fraction(0)] + [Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                                   for _ in range(n - 1)])]
+        for factors, rhs in cases:
+            got, expected = subsets._substitute(factors, rhs), _sequential_substitute(factors, rhs)
+            assert [type(v) for v in got] == [type(v) for v in expected]
+            if factors.values.dtype == float:
+                assert [v.hex() for v in got] == [v.hex() for v in expected]
+            else:
+                assert got == expected
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_block_plan_splits_each_l_column_into_a_prefix_and_an_in_block_suffix(k):
+    """Each L column's rows in its pivot's block are the column's suffix, and the
+    plan lists both parts block by block, from the top, in pivot order."""
+    n = 1 << k
+    plan = subsets._schedule(n)
+    blocks = subsets._blocks(plan)
+    inner, outer, pivot = [], [], []
+    for base in range((n - 1) & -subsets._BLOCK, -1, -subsets._BLOCK):
+        inner.append([])
+        outer.append([])
+        pivot.append([])
+        for x in range(min(base + subsets._BLOCK, n) - 1, max(base, 1) - 1, -1):
+            rows = list(plan.index[plan.lstart[x]:plan.ustart[x - 1]])
+            split = sum(r < base for r in rows)
+            assert all(r >= base for r in rows[split:])
+            suffix = range(plan.lstart[x] + split, plan.ustart[x - 1])
+            assert blocks.local[base > 0][x - base] == tuple(r - base for r in rows[split:])
+            inner[-1] += suffix
+            outer[-1] += range(plan.lstart[x], suffix.start)
+            pivot[-1] += [x - base] * split
+    assert [a.tolist() for a in blocks.inner] == inner
+    assert [a.tolist() for a in blocks.outer] == outer
+    assert [a.tolist() for a in blocks.pivot] == pivot
+
+
+@pytest.mark.parametrize("k", [9, 10])
+def test_residual_over_chunk_boundaries_matches_the_row_formula(k):
+    """b_i - sum v x[c] row by row, for a right side that changes from row to row
+    and for a constant one, across every chunk of rows."""
+    rng = random.Random(k)
+    system = build_system(random_policy(k, rng))
+    w, rows = system.scaled_rows
+    x = [rng.randrange(-1 << 300, 1 << 300) for _ in range(1 << k)]
+    for b in ([0] + [rng.randrange(1 << 400) for _ in rows], w << 300):
+        bi = b if isinstance(b, list) else [b] * (len(rows) + 1)
+        expected = [0] + [bi[mask] - sum(v * x[c] for c, v in zip(cols, vals))
+                          for mask, (cols, vals) in enumerate(rows, 1)]
+        assert len(rows) > subsets._RESIDUAL_ROWS
+        assert subsets._residual(system, b, x) == expected
 
 
 def _fraction_monotonicity(sol):
