@@ -22,28 +22,30 @@ for the uniform policy.
 Subsets are k-bit masks: metric i (canonical order) is bit i-1.
 
 Solving: equations are eliminated in decreasing mask order, which keeps
-fill-in tiny (each reduced row touches only a handful of "tail" subsets).
-Every policy at a given k shares the sparsity pattern, and the pattern
-has a closed form, so where each pivot reads and writes is worked out
-once per k and cached (`_schedule`); each factorization replays it with
-numpy over one flat store, in float64 or over Python ints. Substitution
-replays a second per-k plan (`_blocks`): the L solve walks aligned
-blocks of 32 masks, entry by entry within a block and with one vector
-update for the entries that leave it, and the U solve goes a popcount
-level at a time.
+fill-in tiny (each reduced row touches only a handful of "tail"
+subsets). Every policy at a given k shares the sparsity pattern, and the
+pattern has a closed form, so what a solve needs to know of it is worked
+out once per k, as one plan of arrays (`_plan`), and kept for the last
+_PLANS values of k. The plan says where each pivot reads and writes
+(`_schedule`); each factorization replays that with numpy over one flat
+store, in float64 or over Python ints. It also says how substitution
+walks the factors (`_blocks`): the L solve walks aligned blocks of 32
+masks, entry by entry within a block and with one vector update for the
+entries that leave it, and the U solve goes a popcount level at a time.
 The system is assembled in integers, as W A h = W b straight from the
-weights W p, W the lcm of p's denominators, over a per-k pattern
-(`_pattern`) that the integer residual reads too; its Fraction rows are
-only a view. The exact mode factors W A once modulo a 521-bit prime, lifts the
-solution p-adically by substitution, rebuilds h = x / delta by rational
-reconstruction and returns it only if W A x == delta W b holds in
-integers; it runs through k = 12. The iterative mode factors once with
-the same elimination in float64, then refines by substitution alone,
-with exact integer residuals, until the requested tolerance is met.
-Either solver's (delta, x) is the solution: h is a view over it that
-builds a Fraction only for an entry that is read, and the inequality
-checks and the phi transform compare integer drops on it. A solve that
-fails raises an ArithmeticError (SolverError for iterative refinement).
+weights W p, W the lcm of p's denominators, into one flat array of
+coefficients over the plan's columns, which the integer residual reads
+too; its Fraction rows are only a view. The exact mode factors W A once
+modulo a 521-bit prime, lifts the solution p-adically by substitution,
+rebuilds h = x / delta by rational reconstruction and returns it only if
+W A x == delta W b holds in integers; it runs through k = 12. The
+iterative mode factors once with the same elimination in float64, then
+refines by substitution alone, with exact integer residuals, until the
+requested tolerance is met. Either solver's (delta, x) is the solution:
+h is a view over it that builds a Fraction only for an entry that is
+read, and the inequality checks and the phi transform compare integer
+drops on it. A solve that fails raises an ArithmeticError (SolverError
+for iterative refinement).
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
-from itertools import chain, islice
+from functools import cached_property, lru_cache
+from itertools import chain
 from math import gcd, isqrt
 from operator import eq
 from typing import NamedTuple
@@ -164,15 +166,15 @@ class MemorylessPolicy:
 class SubsetSystem:
     """The subset-state equations times W = lcm of p's denominators, in integers.
 
-    scaled_rows = (W, [(columns, W coefficients), ...]), the row of mask
-    i + 1 at index i, each over at most k + 2 masks; every right side is
-    1, so W b is W in every row, and h(0) = 0 is implicit. coefficients
-    holds the same W coefficients end to end, row by row, as an object
-    array: the form the solvers and `_residual` read.
+    coefficients holds the W coefficients of every row end to end, as an
+    object array: the row of mask i + 1 is coefficients[starts[i]:starts[i
+    + 1]] over the masks columns[starts[i]:starts[i + 1]] of the k's
+    `_plan`, at most k + 2 of them. Every right side is 1, so W b is w in
+    every row, and h(0) = 0 is implicit.
     """
 
     policy: MemorylessPolicy
-    scaled_rows: tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]
+    w: int
     coefficients: np.ndarray = field(repr=False, compare=False)
 
     @property
@@ -182,20 +184,21 @@ class SubsetSystem:
     @cached_property
     def rows(self) -> dict[int, tuple[dict[int, Fraction], Fraction]]:
         """The rows in Fractions: rows[mask] = (coefficients over masks, rhs)."""
-        w, rows = self.scaled_rows
-        return {mask: ({c: Fraction(v, w) for c, v in zip(cols, vals)}, Fraction(1))
-                for mask, (cols, vals) in enumerate(rows, 1)}
+        plan, values = _plan(self.k), self.coefficients.tolist()
+        columns, bounds = plan.columns.tolist(), plan.starts.tolist()
+        return {mask: ({c: Fraction(v, self.w) for c, v in zip(columns[i:j], values[i:j])},
+                       Fraction(1))
+                for mask, i, j in zip(range(1, 1 << self.k), bounds, bounds[1:])}
 
     def residual(self, h) -> Fraction:
         """Max absolute violation of the equations by a candidate h over the masks.
 
         h is a solution's view or a sequence of rationals, one per mask.
         """
-        w, rows = self.scaled_rows
-        if len(h) != len(rows) + 1:
-            raise ValueError(f"h has {len(h)} entries; a k = {self.k} system has {len(rows) + 1} masks")
+        if len(h) != 1 << self.k:
+            raise ValueError(f"h has {len(h)} entries; a k = {self.k} system has {1 << self.k} masks")
         h = _scaled(h)
-        unit = w * h.delta
+        unit = self.w * h.delta
         return Fraction(max(map(abs, _residual(self, unit, h.x))), unit)
 
 
@@ -213,14 +216,14 @@ def _residual(system: SubsetSystem, b, x: list[int]) -> list[int]:
     The products of `system.coefficients` with the entries of x they
     meet are summed row by row, _RESIDUAL_ROWS rows at a time.
     """
-    pattern = _pattern(system.k)
-    starts, coefficients = pattern.starts, system.coefficients
+    plan = _plan(system.k)
+    starts, coefficients = plan.starts, system.coefficients
     x, b = np.array(x, object), np.array(b, object)
     out = [0]
     for r0 in range(0, len(starts) - 1, _RESIDUAL_ROWS):
         r1 = min(r0 + _RESIDUAL_ROWS, len(starts) - 1)
         e0, e1 = starts[r0], starts[r1]
-        sums = np.add.reduceat(coefficients[e0:e1] * x[pattern.columns[e0:e1]],
+        sums = np.add.reduceat(coefficients[e0:e1] * x[plan.columns[e0:e1]],
                                starts[r0:r1] - e0)
         out += ((b[r0 + 1:r1 + 1] if b.ndim else b) - sums).tolist()
     return out
@@ -239,55 +242,91 @@ def _columns(k: int):
             mask | 1 << j for j in range(k) if not mask >> j & 1) + (mask,)
 
 
-class _Pattern(NamedTuple):
-    """The sparsity pattern every system at k shares, row by row in mask order.
+class _Plan(NamedTuple):
+    """What every system with k metrics shares, worked out once per k (`_plan`).
 
-    rows holds each row's column tuple, as `_columns` yields it, over one
-    int object per mask. The entries, end to end, are
-    columns[starts[i]:starts[i + 1]] for row i, the diagonal last; bits[j]
-    is the metric whose weight entry j carries: the one bit of S ^ column
-    for a neighbour, min(S) on the diagonal.
+    First the sparsity pattern, row by row in mask order: row i, of mask
+    i + 1, is over the masks columns[starts[i]:starts[i + 1]], as
+    `_columns` lists them, the diagonal last; bits[j] is the metric whose
+    weight entry j carries: the one bit of S ^ column for a neighbour,
+    min(S) on the diagonal. Then the `_Schedule` of their elimination,
+    whose sources place those entries. Then how `_substitute` walks the
+    factors (`_blocks`).
+
+    The masks fall into aligned blocks of _BLOCK, walked from the top.
+    Pivot x's L column holds the rows (x ^ b) | t for each bit b of x and
+    t < low (`_schedule`), so the rows in x's own block, those of the
+    bits b below _BLOCK, are the column's suffix, and their offsets in
+    the block depend on x's offset alone: local[0][r] lists them for
+    block 0 (which lacks the empty set), local[1][r] for every other
+    block. Per block from the top, inner holds the store positions of
+    those suffixes and outer those of the columns' other entries, pivots
+    in decreasing order, and pivot the offset of each outer entry's pivot.
+
+    Every U column of a mask is a subset of it, so the U solve goes by
+    popcount level: levels[j - 1] is (the masks with j bits, one
+    (targets, store positions, columns) per U slot s, over the masks
+    whose U row has an s-th entry).
     """
 
-    rows: list[tuple[int, ...]]
     starts: np.ndarray
     columns: np.ndarray
     bits: np.ndarray
+    sources: np.ndarray
+    index: memoryview
+    ustart: memoryview
+    lstart: memoryview
+    qstart: memoryview
+    updates: np.ndarray
+    local: tuple[tuple[tuple[int, ...], ...], ...]
+    inner: list[np.ndarray]
+    outer: list[np.ndarray]
+    pivot: list[np.ndarray]
+    levels: list[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]]
 
 
-@cache
-def _pattern(k: int) -> _Pattern:
-    """The pattern of the k-metric systems; cached."""
-    masks = list(range(1 << k))  # each column tuple refers to these: one int object per mask
-    rows = [tuple(map(masks.__getitem__, cols)) for cols in _columns(k)]
-    lengths = np.fromiter(map(len, rows), np.int32, len(rows))
+# The values of k whose plans are kept. At least 2: each solve workload of the
+# bench alternates two values of k, and a plan costs a fair share of a solve
+# (2-vCPU Xeon, Python 3.11, best of 5: k = 8 2.7 ms against 9.5-17.8 ms for an
+# exact solve, k = 12 22 ms against 53-74 ms for an iterative one). A plan holds
+# 10.1 MB at k = 14 and 52.8 MB at k = 16 (tracemalloc).
+_PLANS = 2
+
+
+@lru_cache(_PLANS)
+def _plan(k: int) -> _Plan:
+    """The plan of the k-metric systems; cached for the last _PLANS values of k."""
+    masks = np.arange(1, 1 << k, dtype=np.int32)
+    # row S is over S \ {m} (but for a singleton), the k - |S| masks S u {j} and S
+    lengths = (masks != masks & -masks) + k + 1 - np.bitwise_count(masks)
     starts = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
-    columns = np.fromiter(chain.from_iterable(rows), np.int32, starts[-1])
-    row_masks = np.repeat(np.arange(1, 1 << k, dtype=np.int32), lengths)
-    bit = np.where(columns == row_masks, row_masks & -row_masks, columns ^ row_masks)
-    return _Pattern(rows, starts, columns, np.bitwise_count(bit - 1).astype(np.int8))
+    columns = np.fromiter(chain.from_iterable(_columns(k)), np.int32, starts[-1])
+    rows = np.repeat(masks, lengths)  # the row of each entry
+    bit = np.where(columns == rows, rows & -rows, columns ^ rows)
+    schedule = _schedule(1 << k, rows, columns)
+    return _Plan(starts, columns, np.bitwise_count(bit - 1).astype(np.int8), *schedule,
+                 *_blocks(schedule))
 
 
 def build_system(policy: MemorylessPolicy) -> SubsetSystem:
     """Assemble the integer equations W A h = W b for every nonempty subset.
 
-    Each row's columns come from the cached `_pattern`; the coefficient of
-    a neighbour S ^ {i} is -W p_i, and the diagonal W (p_m + sum_{j not
-    in S} p_j) is W p_m plus W minus the weight of S, the weights of
-    every mask summed in one doubling pass over the metrics.
+    The entries follow the pattern of the k's `_plan`, which is worked out
+    here if it is not cached; the coefficient of a neighbour S ^ {i} is
+    -W p_i, and the diagonal W (p_m + sum_{j not in S} p_j) is W p_m plus
+    W minus the weight of S, the weights of every mask summed in one
+    doubling pass over the metrics.
     """
     w, weights = common_denominator(policy.probs)
-    pattern = _pattern(policy.k)
+    plan = _plan(policy.k)
     inside = np.zeros(1, object)  # W sum_{i in S} p_i, by mask
     for weight in weights:
         inside = np.concatenate((inside, inside + weight))
     # negated before the gather, so entries share the k weights' int objects
-    coefficients = np.array([-v for v in weights], object)[pattern.bits]
-    diagonal = pattern.starts[1:] - 1
+    coefficients = np.array([-v for v in weights], object)[plan.bits]
+    diagonal = plan.starts[1:] - 1
     coefficients[diagonal] = w - inside[1:] - coefficients[diagonal]
-    values, bounds = coefficients.tolist(), pattern.starts.tolist()
-    rows = [(cols, tuple(values[i:j])) for cols, i, j in zip(pattern.rows, bounds, bounds[1:])]
-    return SubsetSystem(policy=policy, scaled_rows=(w, rows), coefficients=coefficients)
+    return SubsetSystem(policy=policy, w=w, coefficients=coefficients)
 
 
 class _Scaled(Sequence):
@@ -375,8 +414,8 @@ class _Schedule(NamedTuple):
     and the row of an L entry at store position p. Pivot x's outer-product
     update L x U, row-major, writes the store positions
     updates[qstart[x]:qstart[x - 1]], and sources[j] is the position of
-    the j-th coefficient of `scaled_rows`, row by row. The offsets and
-    the index are memoryviews, which read as Python ints.
+    the system's j-th coefficient, entry j of the pattern. The offsets
+    and the index are memoryviews, which read as Python ints.
     """
 
     sources: np.ndarray
@@ -387,14 +426,15 @@ class _Schedule(NamedTuple):
     updates: np.ndarray
 
 
-# rows of `_columns` whose sources are placed at once; bounds the scratch arrays
-_ROWS_AT_ONCE = 1 << 10
+# entries of the pattern whose sources are placed at once; bounds the scratch arrays
+_ENTRIES_AT_ONCE = 1 << 14
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The runs starts[i], starts[i] + 1, ... of counts[i] numbers each, end to end."""
-    ends = np.cumsum(counts)
-    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
+    ends = np.cumsum(counts, dtype=np.int32)
+    return (np.repeat(starts - ends + counts, counts)
+            + np.arange(ends[-1] if len(ends) else 0, dtype=np.int32))
 
 
 def _above(a: np.ndarray) -> np.ndarray:
@@ -402,9 +442,8 @@ def _above(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a[::-1])[::-1] - a
 
 
-@cache
-def _schedule(n: int) -> _Schedule:
-    """The structure of the elimination of the systems with n masks; cached.
+def _schedule(n: int, rows: np.ndarray, columns: np.ndarray) -> _Schedule:
+    """The elimination structure of the n-mask systems whose pattern is (rows[j], columns[j]).
 
     Elimination in decreasing mask order fills a pattern with a closed
     form. With low the lowest bit of pivot x and y = x ^ low:
@@ -455,19 +494,16 @@ def _schedule(n: int) -> _Schedule:
         on = np.flatnonzero(x & b)  # the L columns holding the run of rows x ^ b
         first = np.maximum(on ^ b, 1)
         count = (on ^ b) + low[on] - first
-        rows, pivot = _ranges(first, count), np.repeat(on, count)
+        lrows, pivot = _ranges(first, count), np.repeat(on, count)
         place = _ranges(np.bitwise_count(on >> j + 1) * low[on], count)  # in the L column
-        index[lstart[pivot] + place] = rows
+        index[lstart[pivot] + place] = lrows
         for slot in range(int(ulen.max())):  # each row's update from the pivot's slot-th U entry
             keep = ulen[pivot] > slot
             p = pivot[keep]
             updates[qstart[p] + place[keep] * ulen[p] + slot] = position(
-                rows[keep], index[ustart[p] + slot])
-    sources, pattern = [], _columns(n.bit_length() - 1)
-    for first in range(1, n, _ROWS_AT_ONCE):
-        part = list(islice(pattern, _ROWS_AT_ONCE))
-        sources.append(position(np.repeat(np.arange(first, first + len(part)), [*map(len, part)]),
-                                np.fromiter(chain.from_iterable(part), np.int64)))
+                lrows[keep], index[ustart[p] + slot])
+    sources = [position(rows[j:j + _ENTRIES_AT_ONCE], columns[j:j + _ENTRIES_AT_ONCE])
+               for j in range(0, len(columns), _ENTRIES_AT_ONCE)]
     return _Schedule(np.concatenate(sources).astype(np.int32), memoryview(index),
                      memoryview(ustart), memoryview(lstart), memoryview(qstart), updates)
 
@@ -476,35 +512,35 @@ class _Factors(NamedTuple):
     """LU factors of a subset system, pivoted in decreasing mask order.
 
     `values` is the store `_eliminate` filled, a numpy array laid out as
-    `plan` (a `_Schedule`) says: pivot x's diagonal, U row and L column
+    the schedule in `plan` says: pivot x's diagonal, U row and L column
     are its slices, and `plan.index` names their columns and rows. With
     a nonzero modulus the entries are residues and values[x] holds the
     inverse of the pivot, so substitution multiplies by it.
     """
 
     values: np.ndarray
-    plan: _Schedule
+    plan: _Plan
     modulus: int
 
 
 def _eliminate(values, n: int, zero, modulus: int = 0) -> _Factors:
-    """Factor step of the shared elimination core: a numeric replay of `_schedule(n)`.
+    """Factor step of the shared elimination core: a numeric replay of `_plan`'s schedule.
 
-    `values` holds the coefficients in one numeric type (int residues
-    modulo a prime for the exact path, float for the preconditioner,
-    Fraction for the test oracle), end to end in `scaled_rows`' order.
-    The `_Schedule`'s sources place them in a float64 store for floats,
-    else an object one. Each pivot divides its U row by the diagonal and
-    subtracts its outer product L x U from the entries the schedule
-    names, so every entry sees the same operations in the same order as
-    in an elimination that keeps each row as a dict, and float factors
-    are bit for bit the same.
+    `values` holds the coefficients of a system with n masks in one
+    numeric type (int residues modulo a prime for the exact path, float
+    for the preconditioner, Fraction for the test oracle), end to end in
+    the order of `SubsetSystem.coefficients`. The schedule's sources
+    place them in a float64 store for floats, else an object one. Each
+    pivot divides its U row by the diagonal and subtracts its outer
+    product L x U from the entries the schedule names, so every entry
+    sees the same operations in the same order as in an elimination that
+    keeps each row as a dict, and float factors are bit for bit the same.
 
     Given a modulus, integer rows are factored modulo it. Updates are not
     reduced: the pivot row and each L factor are reduced when read, so
     live entries only grow by sums of products of two residues.
     """
-    plan = _schedule(n)
+    plan = _plan(n.bit_length() - 1)
     store = np.full(len(plan.index), zero, float if isinstance(zero, float) else object)
     store[plan.sources] = values
     ustart, lstart, qstart = plan.ustart, plan.lstart, plan.qstart
@@ -539,44 +575,12 @@ def _eliminate(values, n: int, zero, modulus: int = 0) -> _Factors:
 _BLOCK = 1 << 5
 
 
-class _Blocks(NamedTuple):
-    """How `_substitute` walks the factors of every system with n masks.
-
-    The masks fall into aligned blocks of _BLOCK, walked from the top.
-    Pivot x's L column holds the rows (x ^ b) | t for each bit b of x and
-    t < low (`_schedule`), so the rows in x's own block, those of the
-    bits b below _BLOCK, are the column's suffix, and their offsets in
-    the block depend on x's offset alone: local[0][r] lists them for
-    block 0 (which lacks the empty set), local[1][r] for every other
-    block. Per block from the top, inner holds the store positions of
-    those suffixes and outer those of the columns' other entries, pivots
-    in decreasing order, and pivot the offset of each outer entry's pivot.
-
-    Every U column of a mask is a subset of it, so the U solve goes by
-    popcount level: levels[j - 1] is (the masks with j bits, one
-    (targets, store positions, columns) per U slot s, over the masks
-    whose U row has an s-th entry).
-    """
-
-    local: tuple[tuple[tuple[int, ...], ...], ...]
-    inner: list[np.ndarray]
-    outer: list[np.ndarray]
-    pivot: list[np.ndarray]
-    levels: list[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]]
-
-
-# the block plans worked out so far, by n
-_BLOCK_PLANS: dict[int, _Blocks] = {}
-
-
-def _blocks(plan: _Schedule) -> _Blocks:
+def _blocks(schedule: _Schedule) -> tuple:
     """The block plan of the substitutions of the systems with n masks, from
-    their schedule `plan`; worked out once per n."""
-    n = len(plan.ustart)
-    if n in _BLOCK_PLANS:
-        return _BLOCK_PLANS[n]
-    index, ustart, lstart = (np.asarray(a) for a in (plan.index, plan.ustart, plan.lstart))
-    x = np.arange(n - 1, 0, -1)  # the pivots, in elimination order
+    their schedule: `_Plan`'s fields local, inner, outer, pivot and levels."""
+    n = len(schedule.ustart)
+    index, ustart, lstart = map(np.asarray, (schedule.index, schedule.ustart, schedule.lstart))
+    x = np.arange(n - 1, 0, -1, dtype=np.int32)  # the pivots, in elimination order
     low, end = x & -x, ustart[x - 1]
     # the rows of the bits at or above _BLOCK leave the block; all of them when low is there
     split = np.where(low < _BLOCK, lstart[x] + np.bitwise_count(x // _BLOCK) * low, end)
@@ -589,8 +593,8 @@ def _blocks(plan: _Schedule) -> _Blocks:
         return np.split(a, np.cumsum(counts)[_BLOCK - 1:-1:_BLOCK])
 
     icount, ocount = end - split, split - lstart[x]
-    inner = by_block(_ranges(split, icount).astype(np.int32), icount)
-    outer = by_block(_ranges(lstart[x], ocount).astype(np.int32), ocount)
+    inner = by_block(_ranges(split, icount), icount)
+    outer = by_block(_ranges(lstart[x], ocount), ocount)
     pivot = by_block(np.repeat((x % _BLOCK).astype(np.uint8), ocount), ocount)
     pop, ulen = np.bitwise_count(np.arange(n)), lstart - ustart
     levels = []
@@ -602,14 +606,13 @@ def _blocks(plan: _Schedule) -> _Blocks:
             at = ustart[targets] + slot
             slots.append((targets.astype(np.int32), at, index[at]))
         levels.append((masks.astype(np.int32), slots))
-    _BLOCK_PLANS[n] = blocks = _Blocks(local, inner, outer, pivot, levels)
-    return blocks
+    return local, inner, outer, pivot, levels
 
 
 def _substitute(factors: _Factors, rhs) -> list:
     """Solve A h = rhs from the factors; rhs[0] is returned as h[0].
 
-    Applies the L columns in pivot order, block by block (`_blocks`):
+    Applies the L columns in pivot order, block by block (`_Plan`):
     within a block one by one over a list of its h, then every update
     that leaves it in one `np.subtract.at`, in pivot order, so each
     entry receives its subtractions in decreasing pivot order. Then
@@ -620,13 +623,13 @@ def _substitute(factors: _Factors, rhs) -> list:
     """
     store, plan, modulus = factors
     n = len(rhs)
-    blocks, index = _blocks(plan), np.asarray(plan.index)
+    index = np.asarray(plan.index)
     h = np.array(rhs, store.dtype)
     for base, inner, outer, pivot in zip(range((n - 1) & -_BLOCK, -1, -_BLOCK),
-                                         blocks.inner, blocks.outer, blocks.pivot):
+                                         plan.inner, plan.outer, plan.pivot):
         top = min(base + _BLOCK, n)
         hb, diagonal = h[base:top].tolist(), store[base:top].tolist()
-        factor, local = iter(store[inner].tolist()), blocks.local[base > 0]
+        factor, local = iter(store[inner].tolist()), plan.local[base > 0]
         for r in range(top - base - 1, -1 if base else 0, -1):  # mask 0 is no pivot
             hx = hb[r] = hb[r] * diagonal[r] % modulus if modulus else hb[r] / diagonal[r]
             for rid, f in zip(local[r], factor):  # local first: zip then leaves factor's next
@@ -634,7 +637,7 @@ def _substitute(factors: _Factors, rhs) -> list:
         h[base:top] = hb
         np.subtract.at(h, index[outer], store[outer] * h[base:top][pivot])
     prime = np.array(modulus, object)
-    for masks, slots in blocks.levels:
+    for masks, slots in plan.levels:
         for targets, at, columns in slots:
             h[targets] -= store[at] * h[columns]
         if modulus:
@@ -733,11 +736,11 @@ def _lift(system: SubsetSystem) -> tuple[int, list[int]]:
     to the same fraction at two lifts in a row, `_rebuild` settles the
     entries, asking for more lifts as it needs them.
     """
-    w, rows = system.scaled_rows
-    n = 1 << system.k
-    factors = _eliminate(system.coefficients, n, 0, _PRIME)
+    w, c, n = system.w, system.coefficients, 1 << system.k
+    factors = _eliminate(c, n, 0, _PRIME)
     r = [0] + [w] * (n - 1)
-    hadamard_bits = sum((w * w + sum(v * v for v in vals)).bit_length() for _, vals in rows)
+    squares = np.add.reduceat(c * c, _plan(system.k).starts[:-1]).tolist()  # row by row
+    hadamard_bits = sum((w * w + s).bit_length() for s in squares)
     # Numerators and denominators are Cramer determinants, below the
     # Hadamard bound H = 2^(hadamard_bits / 2). A rebuilt entry needs
     # m > 2 P hmax den d^2 with hmax, den and its new factor d below H.
@@ -769,9 +772,8 @@ def _solve_exact(system: SubsetSystem) -> _Scaled:
     vanishes modulo P, or if no reconstruction settles within the
     Hadamard bound.
     """
-    w, _ = system.scaled_rows
     delta, x = _lift(system)
-    for mask, v in enumerate(_residual(system, w * delta, x)):
+    for mask, v in enumerate(_residual(system, system.w * delta, x)):
         if v:
             raise ArithmeticError(f"p-adic solution fails the integer check at mask {mask:#x}")
     return _Scaled(delta, x)
@@ -785,7 +787,7 @@ def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: 
     a dyadic rational, so h is held exactly as integers X * 2^-E. With
     W = lcm of the denominators of p, the scaled residual
     W * 2^E * (b - A h) is the integer vector `_residual` forms with
-    delta = 2^E, from the rows of `system`. Contraction per pass
+    delta = 2^E, from the coefficients of `system`. Contraction per pass
     is roughly machine-epsilon times the solution magnitude, so a few
     passes reach any practical tolerance.
 
@@ -797,8 +799,7 @@ def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: 
     larger tolerance is met as 1. That also puts the residual itself far
     below it. Returns (h as a view over (2^E, X), iterations, residual).
     """
-    n = 1 << system.k
-    w, _ = system.scaled_rows
+    n, w = 1 << system.k, system.w
     # a / w is float(Fraction(a, w)): int true division rounds correctly
     factors = _eliminate((system.coefficients / w).astype(float), n, 0.0)
     tn, td = min(tolerance, 1).as_integer_ratio()  # the error bound needs t <= 1
@@ -949,7 +950,7 @@ def phi_transform(sol: SubsetSolution) -> Sequence[Fraction]:
     full = (1 << sol.k) - 1
     system = build_system(sol.policy)
     delta, x = sol.scaled
-    unit = system.scaled_rows[0] * delta
+    unit = system.w * delta
     slack = sol.check_slack
     # phi's equations are the system's over h - h(empty): phi(full) reads h(empty)
     r = _residual(system, unit, [v - x[0] for v in x])

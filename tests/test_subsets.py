@@ -301,9 +301,9 @@ def test_mode_caps():
 
 def _fraction_oracle(policy):
     """h by the shared elimination core over Fraction: the rational reference."""
-    w, rows = build_system(policy).scaled_rows
+    system = build_system(policy)
     n = 1 << policy.k
-    factors = subsets._eliminate([Fraction(v, w) for _, vals in rows for v in vals], n,
+    factors = subsets._eliminate([Fraction(v, system.w) for v in system.coefficients], n,
                                  Fraction(0))
     return tuple(subsets._substitute(factors, [Fraction(0)] + [Fraction(1)] * (n - 1)))
 
@@ -372,7 +372,7 @@ def test_rebuild_waits_for_the_digits_it_needs(weights):
     feeding the digits one at a time reaches it.
     """
     system = build_system(MemorylessPolicy.from_probs([Fraction(c, sum(weights)) for c in weights]))
-    w = system.scaled_rows[0]
+    w = system.w
     n = 1 << system.k
     factors = subsets._eliminate(system.coefficients, n, 0, subsets._PRIME)
     lifted, r = [], [0] + [w] * (n - 1)
@@ -404,9 +404,10 @@ def test_factor_fill_in(k, u_entries, l_entries):
     """Decreasing mask order keeps fill-in small, and the same for every policy:
     residue and float factors hold the same count of U and L entries."""
     for policy in (MemorylessPolicy.uniform(k), random_policy(k, random.Random(k))):
-        w, rows = build_system(policy).scaled_rows
+        system = build_system(policy)
+        w = system.w
         for scale, zero, modulus in ((lambda a: a, 0, subsets._PRIME), (lambda a: a / w, 0.0, 0)):
-            plan = subsets._eliminate([scale(a) for _, vals in rows for a in vals],
+            plan = subsets._eliminate([scale(a) for a in system.coefficients],
                                       1 << k, zero, modulus).plan
             # pivot x's U row is ustart[x]:lstart[x], its L column lstart[x]:ustart[x - 1]
             assert sum(b - a for a, b in zip(plan.ustart, plan.lstart)) == u_entries
@@ -414,43 +415,60 @@ def test_factor_fill_in(k, u_entries, l_entries):
 
 
 def test_solves_at_one_k_reuse_its_cached_schedule():
-    subsets._schedule.cache_clear()
+    """An exact and then an iterative solve at one k work out its plan, and so
+    the schedule their factorizations replay, once."""
+    subsets._plan.cache_clear()
     solve_system(MemorylessPolicy.uniform(6))
     solve_system(random_policy(6, random.Random(6)), mode="iterative")
-    info = subsets._schedule.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    info = subsets._plan.cache_info()
+    assert info.misses == 1 and info.hits >= 1
 
 
-def test_solves_at_one_k_reuse_their_cached_pattern_and_block_plan(monkeypatch):
+def test_solves_at_one_k_reuse_their_cached_pattern_and_block_plan():
     """Each k's pattern and block plan are worked out once, then read by every
     build and substitution."""
-    subsets._pattern.cache_clear()
-    monkeypatch.setattr(subsets, "_BLOCK_PLANS", {})
+    subsets._plan.cache_clear()
     solve_system(MemorylessPolicy.uniform(6))
-    blocks = subsets._BLOCK_PLANS[1 << 6]
+    plan = subsets._plan(6)
     sol = solve_system(random_policy(6, random.Random(6)), mode="iterative")
-    assert sol.iterations >= 1 and subsets._BLOCK_PLANS == {1 << 6: blocks}
-    assert subsets._blocks(subsets._schedule(1 << 6)) is blocks
-    info = subsets._pattern.cache_info()
+    assert sol.iterations >= 1 and subsets._plan(6) is plan
+    info = subsets._plan.cache_info()
     assert info.misses == 1 and info.hits >= 3
-    assert build_system(MemorylessPolicy.uniform(6)).scaled_rows[1][0][0] is \
-        subsets._pattern(6).rows[0]
+    system = build_system(MemorylessPolicy.uniform(6))
+    assert len(system.coefficients) == len(plan.columns)
+
+
+def test_plan_cache_keeps_the_last_plans_only():
+    """Solving k = 3..8 in turn keeps _PLANS plans; the first k's plan is built
+    again, and the solve it serves is unchanged."""
+    subsets._plan.cache_clear()
+    policy = random_policy(3, random.Random(3))
+    first = solve_system(policy)
+    for k in range(4, 9):
+        solve_system(random_policy(k, random.Random(k)))
+    info = subsets._plan.cache_info()
+    assert info.currsize == subsets._PLANS
+    again = solve_system(policy)
+    assert subsets._plan.cache_info().misses == info.misses + 1
+    assert again.h == first.h
 
 
 def test_float_and_residue_factors_index_through_the_schedule():
     """Both numeric types replay the one cached schedule of their k: no solve
     builds index arrays of its own."""
     k = 6
-    w, rows = build_system(random_policy(k, random.Random(k))).scaled_rows
-    plan = subsets._schedule(1 << k)
-    for values, zero, modulus in (([a / w for _, vals in rows for a in vals], 0.0, 0),
-                                  ([a for _, vals in rows for a in vals], 0, subsets._PRIME)):
+    system = build_system(random_policy(k, random.Random(k)))
+    w, coefficients = system.w, system.coefficients
+    plan = subsets._plan(k)
+    for values, zero, modulus in (([a / w for a in coefficients], 0.0, 0),
+                                  (coefficients.tolist(), 0, subsets._PRIME)):
         factors = subsets._eliminate(values, 1 << k, zero, modulus)
         assert factors.plan is plan and len(factors.values) == len(plan.index)
 
 
 def _symbolic_schedule(n):
-    """`_schedule(n)`, as lists, from an elimination of the pattern itself.
+    """The `_Schedule` of `_plan(k)`, n = 2^k, as lists, from an elimination of
+    the pattern itself.
 
     Each row is an insertion-ordered dict of its columns, in `_columns`'
     order. Pivots go in decreasing mask order: pivot x's U row is what is
@@ -504,7 +522,7 @@ def _symbolic_schedule(n):
 def test_schedule_matches_a_symbolic_elimination(k):
     """`_schedule`'s closed form is the elimination it replays, entry by entry."""
     n = 1 << k
-    plan, expected = subsets._schedule(n), _symbolic_schedule(n)
+    plan, expected = subsets._plan(k), _symbolic_schedule(n)
     for field in subsets._Schedule._fields:
         assert np.asarray(getattr(plan, field)).tolist() == getattr(expected, field), field
 
@@ -538,8 +556,7 @@ def test_block_substitution_matches_the_sequential_walk(k):
     n, rng = 1 << k, random.Random(k)
     for policy in (MemorylessPolicy.uniform(k), random_policy(k, random.Random(k))):
         system = build_system(policy)
-        w, rows = system.scaled_rows
-        values = [v for _, vals in rows for v in vals]
+        w, values = system.w, system.coefficients.tolist()
         cases = [(subsets._eliminate([v / w for v in values], n, 0.0),
                   [0.0] + [rng.uniform(-1, 1) for _ in range(n - 1)]),
                  (subsets._eliminate(values, n, 0, subsets._PRIME),
@@ -561,8 +578,7 @@ def test_block_plan_splits_each_l_column_into_a_prefix_and_an_in_block_suffix(k)
     """Each L column's rows in its pivot's block are the column's suffix, and the
     plan lists both parts block by block, from the top, in pivot order."""
     n = 1 << k
-    plan = subsets._schedule(n)
-    blocks = subsets._blocks(plan)
+    plan = subsets._plan(k)
     inner, outer, pivot = [], [], []
     for base in range((n - 1) & -subsets._BLOCK, -1, -subsets._BLOCK):
         inner.append([])
@@ -573,13 +589,13 @@ def test_block_plan_splits_each_l_column_into_a_prefix_and_an_in_block_suffix(k)
             split = sum(r < base for r in rows)
             assert all(r >= base for r in rows[split:])
             suffix = range(plan.lstart[x] + split, plan.ustart[x - 1])
-            assert blocks.local[base > 0][x - base] == tuple(r - base for r in rows[split:])
+            assert plan.local[base > 0][x - base] == tuple(r - base for r in rows[split:])
             inner[-1] += suffix
             outer[-1] += range(plan.lstart[x], suffix.start)
             pivot[-1] += [x - base] * split
-    assert [a.tolist() for a in blocks.inner] == inner
-    assert [a.tolist() for a in blocks.outer] == outer
-    assert [a.tolist() for a in blocks.pivot] == pivot
+    assert [a.tolist() for a in plan.inner] == inner
+    assert [a.tolist() for a in plan.outer] == outer
+    assert [a.tolist() for a in plan.pivot] == pivot
 
 
 @pytest.mark.parametrize("k", [9, 10])
@@ -588,7 +604,8 @@ def test_residual_over_chunk_boundaries_matches_the_row_formula(k):
     and for a constant one, across every chunk of rows."""
     rng = random.Random(k)
     system = build_system(random_policy(k, rng))
-    w, rows = system.scaled_rows
+    w, values = system.w, iter(system.coefficients.tolist())
+    rows = [(cols, [next(values) for _ in cols]) for cols in subsets._columns(k)]
     x = [rng.randrange(-1 << 300, 1 << 300) for _ in range(1 << k)]
     for b in ([0] + [rng.randrange(1 << 400) for _ in rows], w << 300):
         bi = b if isinstance(b, list) else [b] * (len(rows) + 1)
