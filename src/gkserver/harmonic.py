@@ -15,6 +15,8 @@ uniform ("harmonic") memoryless policy: k * a(k) for k metric spaces.
 
 from __future__ import annotations
 
+import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
@@ -111,8 +113,22 @@ def rational_to_str(x: Fraction) -> str:
     return f"{int_to_str(x.numerator)}/{int_to_str(x.denominator)}"
 
 
+# the exponent digits of a decimal literal, as Fraction reads them
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
 def rational_from_str(s: str) -> Fraction:
-    """Parse "num/den" or a plain integer string into a Fraction; ValueError if den is 0."""
+    """Parse "num/den", an integer or a decimal literal into a Fraction.
+
+    ValueError if den is 0, or if a decimal exponent exceeds in magnitude
+    sys.get_int_max_str_digits(), the limit int() puts on digit strings:
+    Fraction would build 10^|exponent| first, in time that grows with it.
+    """
+    limit, exponent = sys.get_int_max_str_digits(), _EXPONENT.search(s)
+    if limit and exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+            raise ValueError(f"the exponent of {s.strip()!r} exceeds {limit} in magnitude")
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:

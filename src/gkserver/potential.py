@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import eq, ne
 
-from .chains import harmonic_eet
 from .harmonic import alpha_table, rational_to_str
 from .simulate import _audited, diff_mask
 from .subsets import MemorylessPolicy
@@ -51,11 +51,9 @@ class PotentialContext:
     def for_k(cls, k: int) -> "PotentialContext":
         if k < 1:
             raise ValueError(f"need k >= 1, got {k}")
-        return cls(
-            k=k,
-            h=tuple(harmonic_eet(k, ell) for ell in range(k + 1)),
-            alphas=tuple(alpha_table(k)),
-        )
+        alphas = alpha_table(k)
+        # h(l) = k (a(k) + ... + a(k - l + 1)), the harmonic chain's EET (`harmonic_eet`)
+        return cls(k=k, h=(0, *accumulate(k * a for a in reversed(alphas))), alphas=tuple(alphas))
 
     @property
     def step_bound(self) -> int:

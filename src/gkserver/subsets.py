@@ -27,8 +27,10 @@ subsets). Every policy at a given k shares the sparsity pattern, and the
 pattern has a closed form, so what a solve needs to know of it is worked
 out once per k, as one plan of arrays (`_plan`), and kept for the last
 _PLANS values of k. The plan says where each pivot reads and writes
-(`_schedule`); each factorization replays that with numpy over one flat
-store, in float64 or over Python ints. It also says how substitution
+(`_schedule`) in one flat store, which each factorization fills by
+replaying that with numpy, in float64 or over Python ints: the store is
+the whole of the factors, pivot x's diagonal, U row and L column being
+slices of it that the plan names. The plan also says how substitution
 walks the factors (`_blocks`): the L solve walks aligned blocks of 32
 masks, entry by entry within a block and with one vector update for the
 entries that leave it, and the U solve goes a popcount level at a time.
@@ -195,9 +197,7 @@ class SubsetSystem:
 
         h is a solution's view or a sequence of rationals, one per mask.
         """
-        if len(h) != 1 << self.k:
-            raise ValueError(f"h has {len(h)} entries; a k = {self.k} system has {1 << self.k} masks")
-        h = _scaled(h)
+        h = _scaled(h, self.k)
         unit = self.w * h.delta
         return Fraction(max(map(abs, _residual(self, unit, h.x))), unit)
 
@@ -249,9 +249,19 @@ class _Plan(NamedTuple):
     i + 1, is over the masks columns[starts[i]:starts[i + 1]], as
     `_columns` lists them, the diagonal last; bits[j] is the metric whose
     weight entry j carries: the one bit of S ^ column for a neighbour,
-    min(S) on the diagonal. Then the `_Schedule` of their elimination,
-    whose sources place those entries. Then how `_substitute` walks the
-    factors (`_blocks`).
+    min(S) on the diagonal.
+
+    Then where their elimination reads and writes (`_schedule`): the
+    factors live in one flat store. Entry x < n = 2^k is pivot x's
+    diagonal; from n on come the pivots in decreasing mask order, each
+    one's U row at ustart[x]:lstart[x], then its L column at
+    lstart[x]:ustart[x - 1] (ustart[0] is the store's size). index[p] is
+    the column of a U entry and the row of an L entry at store position
+    p. Pivot x's outer-product update L x U, row-major, writes the store
+    positions updates[qstart[x]:qstart[x - 1]], and sources[j] is the
+    position of the system's j-th coefficient, entry j of the pattern.
+
+    Then how `_substitute` walks the factors (`_blocks`).
 
     The masks fall into aligned blocks of _BLOCK, walked from the top.
     Pivot x's L column holds the rows (x ^ b) | t for each bit b of x and
@@ -273,10 +283,10 @@ class _Plan(NamedTuple):
     columns: np.ndarray
     bits: np.ndarray
     sources: np.ndarray
-    index: memoryview
-    ustart: memoryview
-    lstart: memoryview
-    qstart: memoryview
+    index: np.ndarray
+    ustart: np.ndarray
+    lstart: np.ndarray
+    qstart: np.ndarray
     updates: np.ndarray
     local: tuple[tuple[tuple[int, ...], ...], ...]
     inner: list[np.ndarray]
@@ -305,7 +315,7 @@ def _plan(k: int) -> _Plan:
     bit = np.where(columns == rows, rows & -rows, columns ^ rows)
     schedule = _schedule(1 << k, rows, columns)
     return _Plan(starts, columns, np.bitwise_count(bit - 1).astype(np.int8), *schedule,
-                 *_blocks(schedule))
+                 *_blocks(*schedule[1:4]))
 
 
 def build_system(policy: MemorylessPolicy) -> SubsetSystem:
@@ -354,8 +364,11 @@ class _Scaled(Sequence):
         return repr(tuple(self))
 
 
-def _scaled(h) -> _Scaled:
-    """h itself if it is a view, else a view over its lcm form."""
+def _scaled(h, k: int) -> _Scaled:
+    """h itself if it is a view, else a view over its lcm form; h must hold one
+    entry per mask of k metrics."""
+    if len(h) != 1 << k:
+        raise ValueError(f"h has {len(h)} entries; a k = {k} system has {1 << k} masks")
     return h if isinstance(h, _Scaled) else _Scaled(*common_denominator(h))
 
 
@@ -377,10 +390,7 @@ class SubsetSolution:
     iterations: int | None = None
 
     def __post_init__(self):
-        if len(self.h) != 1 << self.k:
-            raise ValueError(f"h has {len(self.h)} entries; a k = {self.k} system has "
-                             f"{1 << self.k} masks")
-        object.__setattr__(self, "h", _scaled(self.h))
+        object.__setattr__(self, "h", _scaled(self.h, self.k))
 
     @property
     def k(self) -> int:
@@ -404,28 +414,6 @@ class SubsetSolution:
         return self.h.delta, self.h.x
 
 
-class _Schedule(NamedTuple):
-    """Where the elimination of every system with n masks reads and writes.
-
-    Entries live in one flat store. Entry x < n is pivot x's diagonal;
-    from n on come the pivots in decreasing mask order, each one's U row
-    at ustart[x]:lstart[x], then its L column at lstart[x]:ustart[x - 1]
-    (ustart[0] is the store's size). index[p] is the column of a U entry
-    and the row of an L entry at store position p. Pivot x's outer-product
-    update L x U, row-major, writes the store positions
-    updates[qstart[x]:qstart[x - 1]], and sources[j] is the position of
-    the system's j-th coefficient, entry j of the pattern. The offsets
-    and the index are memoryviews, which read as Python ints.
-    """
-
-    sources: np.ndarray
-    index: memoryview
-    ustart: memoryview
-    lstart: memoryview
-    qstart: memoryview
-    updates: np.ndarray
-
-
 # entries of the pattern whose sources are placed at once; bounds the scratch arrays
 _ENTRIES_AT_ONCE = 1 << 14
 
@@ -442,8 +430,9 @@ def _above(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a[::-1])[::-1] - a
 
 
-def _schedule(n: int, rows: np.ndarray, columns: np.ndarray) -> _Schedule:
-    """The elimination structure of the n-mask systems whose pattern is (rows[j], columns[j]).
+def _schedule(n: int, rows: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Where the elimination of the n-mask systems whose pattern is (rows[j], columns[j])
+    reads and writes: `_Plan`'s fields sources, index, ustart, lstart, qstart and updates.
 
     Elimination in decreasing mask order fills a pattern with a closed
     form. With low the lowest bit of pivot x and y = x ^ low:
@@ -504,54 +493,42 @@ def _schedule(n: int, rows: np.ndarray, columns: np.ndarray) -> _Schedule:
                 lrows[keep], index[ustart[p] + slot])
     sources = [position(rows[j:j + _ENTRIES_AT_ONCE], columns[j:j + _ENTRIES_AT_ONCE])
                for j in range(0, len(columns), _ENTRIES_AT_ONCE)]
-    return _Schedule(np.concatenate(sources).astype(np.int32), memoryview(index),
-                     memoryview(ustart), memoryview(lstart), memoryview(qstart), updates)
+    return np.concatenate(sources).astype(np.int32), index, ustart, lstart, qstart, updates
 
 
-class _Factors(NamedTuple):
-    """LU factors of a subset system, pivoted in decreasing mask order.
+def _eliminate(values, k: int, modulus: int = 0) -> np.ndarray:
+    """Factor step of the shared elimination core: a numeric replay of `_plan(k)`'s schedule.
 
-    `values` is the store `_eliminate` filled, a numpy array laid out as
-    the schedule in `plan` says: pivot x's diagonal, U row and L column
-    are its slices, and `plan.index` names their columns and rows. With
-    a nonzero modulus the entries are residues and values[x] holds the
-    inverse of the pivot, so substitution multiplies by it.
-    """
-
-    values: np.ndarray
-    plan: _Plan
-    modulus: int
-
-
-def _eliminate(values, n: int, zero, modulus: int = 0) -> _Factors:
-    """Factor step of the shared elimination core: a numeric replay of `_plan`'s schedule.
-
-    `values` holds the coefficients of a system with n masks in one
+    `values` holds the coefficients of a system with k metrics in one
     numeric type (int residues modulo a prime for the exact path, float
     for the preconditioner, Fraction for the test oracle), end to end in
     the order of `SubsetSystem.coefficients`. The schedule's sources
-    place them in a float64 store for floats, else an object one. Each
-    pivot divides its U row by the diagonal and subtracts its outer
-    product L x U from the entries the schedule names, so every entry
-    sees the same operations in the same order as in an elimination that
-    keeps each row as a dict, and float factors are bit for bit the same.
+    place them in the store, float64 for floats, else an object array,
+    so Python ints stay Python ints. Each pivot divides its U row by the
+    diagonal and subtracts its outer product L x U from the entries the
+    schedule names, so every entry sees the same operations in the same
+    order as in an elimination that keeps each row as a dict, and float
+    factors are bit for bit the same. Returns the store, the factors laid
+    out as `_Plan` says.
 
-    Given a modulus, integer rows are factored modulo it. Updates are not
-    reduced: the pivot row and each L factor are reduced when read, so
-    live entries only grow by sums of products of two residues.
+    Given a modulus, integer rows are factored modulo it: the entries are
+    residues and store[x] holds the inverse of pivot x, so substitution
+    multiplies by it. Updates are not reduced: the pivot row and each L
+    factor are reduced when read, so live entries only grow by sums of
+    products of two residues.
     """
-    plan = _plan(n.bit_length() - 1)
-    store = np.full(len(plan.index), zero, float if isinstance(zero, float) else object)
+    plan = _plan(k)
+    store = np.zeros(len(plan.index), float if isinstance(values[0], float) else object)
     store[plan.sources] = values
-    ustart, lstart, qstart = plan.ustart, plan.lstart, plan.qstart
+    ustart, lstart, qstart = plan.ustart.tolist(), plan.lstart.tolist(), plan.qstart.tolist()
     prime = np.array(modulus, object)  # numpy reads a 0-d object array faster than a big int
     # pivot x, where its U row starts, its L column starts and ends, its updates start and end
-    for x, u0, l0, l1, q0, q1 in zip(range(n - 1, 0, -1), ustart[:0:-1], lstart[:0:-1],
+    for x, u0, l0, l1, q0, q1 in zip(range((1 << k) - 1, 0, -1), ustart[:0:-1], lstart[:0:-1],
                                      ustart[-2::-1], qstart[:0:-1], qstart[-2::-1]):
         d = store[x]
         if modulus:
             d %= modulus
-        if d == zero:
+        if not d:
             where = " modulo the prime" if modulus else ""
             raise ArithmeticError(f"zero pivot at mask {x:#x}{where}; system unexpectedly singular")
         f = store[l0:l1]
@@ -567,7 +544,7 @@ def _eliminate(values, n: int, zero, modulus: int = 0) -> _Factors:
         else:
             expr /= d
         np.subtract.at(store, plan.updates[q0:q1], np.multiply.outer(f, expr).ravel())
-    return _Factors(store, plan, modulus)
+    return store
 
 
 # masks in a block of the forward substitution: L updates within a block are
@@ -575,11 +552,10 @@ def _eliminate(values, n: int, zero, modulus: int = 0) -> _Factors:
 _BLOCK = 1 << 5
 
 
-def _blocks(schedule: _Schedule) -> tuple:
+def _blocks(index: np.ndarray, ustart: np.ndarray, lstart: np.ndarray) -> tuple:
     """The block plan of the substitutions of the systems with n masks, from
     their schedule: `_Plan`'s fields local, inner, outer, pivot and levels."""
-    n = len(schedule.ustart)
-    index, ustart, lstart = map(np.asarray, (schedule.index, schedule.ustart, schedule.lstart))
+    n = len(ustart)
     x = np.arange(n - 1, 0, -1, dtype=np.int32)  # the pivots, in elimination order
     low, end = x & -x, ustart[x - 1]
     # the rows of the bits at or above _BLOCK leave the block; all of them when low is there
@@ -609,8 +585,9 @@ def _blocks(schedule: _Schedule) -> tuple:
     return local, inner, outer, pivot, levels
 
 
-def _substitute(factors: _Factors, rhs) -> list:
-    """Solve A h = rhs from the factors; rhs[0] is returned as h[0].
+def _substitute(store: np.ndarray, k: int, rhs, modulus: int = 0) -> list:
+    """Solve A h = rhs from the store `_eliminate(values, k, modulus)` returned;
+    rhs[0] is returned as h[0].
 
     Applies the L columns in pivot order, block by block (`_Plan`):
     within a block one by one over a list of its h, then every update
@@ -621,9 +598,7 @@ def _substitute(factors: _Factors, rhs) -> list:
     a walk entry by entry, in the same order. Residue factors return
     residues, reduced after each level.
     """
-    store, plan, modulus = factors
-    n = len(rhs)
-    index = np.asarray(plan.index)
+    plan, n = _plan(k), 1 << k
     h = np.array(rhs, store.dtype)
     for base, inner, outer, pivot in zip(range((n - 1) & -_BLOCK, -1, -_BLOCK),
                                          plan.inner, plan.outer, plan.pivot):
@@ -635,7 +610,7 @@ def _substitute(factors: _Factors, rhs) -> list:
             for rid, f in zip(local[r], factor):  # local first: zip then leaves factor's next
                 hb[rid] -= f * hx
         h[base:top] = hb
-        np.subtract.at(h, index[outer], store[outer] * h[base:top][pivot])
+        np.subtract.at(h, plan.index[outer], store[outer] * h[base:top][pivot])
     prime = np.array(modulus, object)
     for masks, slots in plan.levels:
         for targets, at, columns in slots:
@@ -736,10 +711,10 @@ def _lift(system: SubsetSystem) -> tuple[int, list[int]]:
     to the same fraction at two lifts in a row, `_rebuild` settles the
     entries, asking for more lifts as it needs them.
     """
-    w, c, n = system.w, system.coefficients, 1 << system.k
-    factors = _eliminate(c, n, 0, _PRIME)
+    w, c, k, n = system.w, system.coefficients, system.k, 1 << system.k
+    store = _eliminate(c, k, _PRIME)
     r = [0] + [w] * (n - 1)
-    squares = np.add.reduceat(c * c, _plan(system.k).starts[:-1]).tolist()  # row by row
+    squares = np.add.reduceat(c * c, _plan(k).starts[:-1]).tolist()  # row by row
     hadamard_bits = sum((w * w + s).bit_length() for s in squares)
     # Numerators and denominators are Cramer determinants, below the
     # Hadamard bound H = 2^(hadamard_bits / 2). A rebuilt entry needs
@@ -748,7 +723,7 @@ def _lift(system: SubsetSystem) -> tuple[int, list[int]]:
     digits: list[list[int]] = []
     m, last, rebuild = 1, None, None
     for _ in range(max_lifts):
-        y = _substitute(factors, r)
+        y = _substitute(store, k, r, _PRIME)
         digits.append(y)
         r = [v // _PRIME for v in _residual(system, r, y)]
         m *= _PRIME
@@ -799,9 +774,9 @@ def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: 
     larger tolerance is met as 1. That also puts the residual itself far
     below it. Returns (h as a view over (2^E, X), iterations, residual).
     """
-    n, w = 1 << system.k, system.w
+    k, w, n = system.k, system.w, 1 << system.k
     # a / w is float(Fraction(a, w)): int true division rounds correctly
-    factors = _eliminate((system.coefficients / w).astype(float), n, 0.0)
+    store = _eliminate((system.coefficients / w).astype(float), k)
     tn, td = min(tolerance, 1).as_integer_ratio()  # the error bound needs t <= 1
     x = [0] * n
     e = 0
@@ -814,7 +789,7 @@ def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: 
             return _Scaled(1 << e, x), iteration, Fraction(worst, scale)
         if iteration == max_iterations:
             break
-        correction = [c.as_integer_ratio() for c in _substitute(factors, [v / scale for v in r])]
+        correction = [c.as_integer_ratio() for c in _substitute(store, k, [v / scale for v in r])]
         e_new = max(e, max(den.bit_length() for _, den in correction) - 1)
         x = [(xi << (e_new - e)) + (num << (e_new + 1 - den.bit_length()))
              for xi, (num, den) in zip(x, correction)]

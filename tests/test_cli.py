@@ -215,6 +215,21 @@ def test_system_rejects_bad_tolerance(tolerance, mode, capsys):
     assert "tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [("--p", "1e-5000,1/2"), ("--tolerance", "1e-5000")])
+def test_system_rejects_a_huge_exponent(option, value, capsys):
+    """Fraction would build 10^5000 first; the parser refuses the literal with one error line."""
+    argv = ["system", "--p", "1/2,1/2", "--mode", "iterative", option, value]  # the last --p wins
+    assert run_cli(*argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "the exponent of '1e-5000' exceeds 4300" in err
+
+
+def test_simulate_rejects_a_huge_exponent_in_the_config_policy(tmp_path, capsys):
+    path = _write_config(tmp_path, policy=["1e-5000", "1/2"])
+    assert run_cli("simulate", str(path)) == EXIT_VALIDATION
+    assert "the exponent of '1e-5000' exceeds 4300" in capsys.readouterr().err
+
+
 def _write_config(tmp_path, **overrides):
     cfg = {
         "k": 2, "n": [3, 3], "policy": ["1/2", "1/2"], "adversary": "lower_bound",
@@ -632,6 +647,13 @@ def test_cli_subprocess_end_to_end(tmp_path):
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert json.loads(proc.stdout)["phases"] == 50
+
+
+def test_verify_rejects_a_huge_exponent_in_header_policy(tmp_path, capsys):
+    trace = _simulated_trace(tmp_path, capsys, k=2)
+    trace.write_text(trace.read_text().replace("# policy=1/2;1/2\n", "# policy=1e-5000;1/2\n"))
+    assert run_cli("verify", str(trace)) == EXIT_VALIDATION
+    assert "the exponent of '1e-5000' exceeds 4300" in capsys.readouterr().err
 
 
 def test_verify_rejects_zero_denominator_in_header_policy(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Harmonic recursion: recurrence vs closed form, factorial sandwich, rationals."""
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import ceil, factorial
@@ -149,3 +150,19 @@ def test_serializers_write_ints_beyond_the_parse_limit():
     assert rational_to_str(Fraction(n, 3)) == digits + "/3"
     with pytest.raises(ValueError, match="4300"):  # parsing keeps the limit
         rational_from_str(rational_to_str(Fraction(n, 3)))
+
+
+# a regression here would build 10^|exponent|, so the exponents stay small enough to fail fast;
+# CI runs 1e-1000000000 through the installed entry point under a timeout
+@pytest.mark.parametrize("literal", ["1e-5000", "1e5000", "1E+5_000", "1e+0004301"])
+def test_rational_from_str_rejects_an_exponent_beyond_the_digit_limit(literal):
+    """Fraction would build 10^|exponent| first; the parser refuses, naming the literal."""
+    with pytest.raises(ValueError, match=re.escape(f"the exponent of '{literal}' exceeds 4300")):
+        rational_from_str(literal)
+
+
+@pytest.mark.parametrize("literal, value", [
+    ("1e-12", Fraction(1, 10**12)), ("3/7", Fraction(3, 7)), ("0.25", Fraction(1, 4)),
+    ("1e4300", Fraction(10**4300)), ("2.5E-3", Fraction(1, 400))])
+def test_rational_from_str_reads_decimals_within_the_limit(literal, value):
+    assert rational_from_str(literal) == value

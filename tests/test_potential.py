@@ -68,7 +68,7 @@ def test_potential_values():
 
 
 def test_context_table_matches_chain_eet():
-    for k in range(1, 21):
+    for k in (*range(1, 21), 300):
         ctx = PotentialContext.for_k(k)
         assert ctx.h == tuple(harmonic_eet(k, ell) for ell in range(k + 1))
         assert ctx.alphas == tuple(alpha_table(k))

@@ -302,10 +302,9 @@ def test_mode_caps():
 def _fraction_oracle(policy):
     """h by the shared elimination core over Fraction: the rational reference."""
     system = build_system(policy)
-    n = 1 << policy.k
-    factors = subsets._eliminate([Fraction(v, system.w) for v in system.coefficients], n,
-                                 Fraction(0))
-    return tuple(subsets._substitute(factors, [Fraction(0)] + [Fraction(1)] * (n - 1)))
+    k, n = policy.k, 1 << policy.k
+    store = subsets._eliminate([Fraction(v, system.w) for v in system.coefficients], k)
+    return tuple(subsets._substitute(store, k, [Fraction(0)] + [Fraction(1)] * (n - 1)))
 
 
 # one weight: small ones tie often, large ones skew the policy
@@ -339,8 +338,8 @@ def test_corrupted_lift_digit_raises(monkeypatch, target):
     if target == "_substitute":
         calls = []
 
-        def corrupt(factors, rhs):
-            y = real(factors, rhs)
+        def corrupt(*args):
+            y = real(*args)
             calls.append(y)
             if len(calls) == 1:
                 y[2] = (y[2] + 1) % subsets._PRIME
@@ -373,11 +372,11 @@ def test_rebuild_waits_for_the_digits_it_needs(weights):
     """
     system = build_system(MemorylessPolicy.from_probs([Fraction(c, sum(weights)) for c in weights]))
     w = system.w
-    n = 1 << system.k
-    factors = subsets._eliminate(system.coefficients, n, 0, subsets._PRIME)
+    k, n = system.k, 1 << system.k
+    store = subsets._eliminate(system.coefficients, k, subsets._PRIME)
     lifted, r = [], [0] + [w] * (n - 1)
     for _ in range(12):
-        y = subsets._substitute(factors, r)
+        y = subsets._substitute(store, k, r, subsets._PRIME)
         lifted.append(y)
         r = [v // subsets._PRIME for v in subsets._residual(system, r, y)]
     m = subsets._PRIME ** len(lifted)
@@ -395,7 +394,7 @@ def test_rebuild_waits_for_the_digits_it_needs(weights):
 
 def test_pivot_vanishing_modulo_the_prime_raises():
     with pytest.raises(ArithmeticError, match="zero pivot at mask 0x1 modulo the prime"):
-        subsets._eliminate([6], 2, 0, 3)
+        subsets._eliminate([6], 1, 3)
 
 
 @pytest.mark.parametrize("k, u_entries, l_entries",
@@ -406,9 +405,9 @@ def test_factor_fill_in(k, u_entries, l_entries):
     for policy in (MemorylessPolicy.uniform(k), random_policy(k, random.Random(k))):
         system = build_system(policy)
         w = system.w
-        for scale, zero, modulus in ((lambda a: a, 0, subsets._PRIME), (lambda a: a / w, 0.0, 0)):
-            plan = subsets._eliminate([scale(a) for a in system.coefficients],
-                                      1 << k, zero, modulus).plan
+        for scale, modulus in ((lambda a: a, subsets._PRIME), (lambda a: a / w, 0)):
+            subsets._eliminate([scale(a) for a in system.coefficients], k, modulus)
+            plan = subsets._plan(k)
             # pivot x's U row is ustart[x]:lstart[x], its L column lstart[x]:ustart[x - 1]
             assert sum(b - a for a, b in zip(plan.ustart, plan.lstart)) == u_entries
             assert sum(b - a for a, b in zip(plan.lstart[1:], plan.ustart)) == l_entries
@@ -460,22 +459,46 @@ def test_float_and_residue_factors_index_through_the_schedule():
     system = build_system(random_policy(k, random.Random(k)))
     w, coefficients = system.w, system.coefficients
     plan = subsets._plan(k)
-    for values, zero, modulus in (([a / w for a in coefficients], 0.0, 0),
-                                  (coefficients.tolist(), 0, subsets._PRIME)):
-        factors = subsets._eliminate(values, 1 << k, zero, modulus)
-        assert factors.plan is plan and len(factors.values) == len(plan.index)
+    for values, modulus in (([a / w for a in coefficients], 0),
+                            (coefficients.tolist(), subsets._PRIME)):
+        store = subsets._eliminate(values, k, modulus)
+        assert subsets._plan(k) is plan and len(store) == len(plan.index)
+
+
+@pytest.mark.parametrize("k", [3, 7])
+def test_store_type_follows_the_values_not_their_container(k):
+    """Python ints, in a list or an object array, factor into an object store of
+    Python ints, never int64, and floats, in a list or a float64 array, into
+    float64; each pair gives equal stores and equal substitutions."""
+    system = build_system(random_policy(k, random.Random(k)))
+    w, coefficients, n, rng = system.w, system.coefficients, 1 << k, random.Random(k)
+    residues = [0] + [rng.randrange(subsets._PRIME) for _ in range(n - 1)]
+    stores = [subsets._eliminate(values, k, subsets._PRIME)
+              for values in (coefficients.tolist(), coefficients)]
+    assert [s.dtype for s in stores] == [np.dtype(object)] * 2
+    assert all(type(v) is int for v in stores[0].tolist())
+    assert stores[0].tolist() == stores[1].tolist()
+    assert (subsets._substitute(stores[0], k, residues, subsets._PRIME)
+            == subsets._substitute(stores[1], k, residues, subsets._PRIME))
+    floats = [0.0] + [rng.uniform(-1, 1) for _ in range(n - 1)]
+    stores = [subsets._eliminate(values, k)
+              for values in ([a / w for a in coefficients], (coefficients / w).astype(float))]
+    assert [s.dtype for s in stores] == [np.dtype(np.float64)] * 2
+    assert [v.hex() for v in stores[0].tolist()] == [v.hex() for v in stores[1].tolist()]
+    assert ([v.hex() for v in subsets._substitute(stores[0], k, floats)]
+            == [v.hex() for v in subsets._substitute(stores[1], k, floats)])
 
 
 def _symbolic_schedule(n):
-    """The `_Schedule` of `_plan(k)`, n = 2^k, as lists, from an elimination of
-    the pattern itself.
+    """The schedule fields of `_plan(k)`, n = 2^k, as lists by field name, from an
+    elimination of the pattern itself.
 
     Each row is an insertion-ordered dict of its columns, in `_columns`'
     order. Pivots go in decreasing mask order: pivot x's U row is what is
     left of row x without its diagonal, in dict order, and its L column
     the rows below x that hold column x, in increasing order; each of
     those drops x and appends the U columns it lacks. The store positions
-    follow the `_Schedule` layout.
+    follow the layout of `_Plan`.
     """
     pattern = list(subsets._columns(n.bit_length() - 1))
     rows = {mask: dict.fromkeys(cols) for mask, cols in enumerate(pattern, 1)}
@@ -511,7 +534,7 @@ def _symbolic_schedule(n):
             return r
         return ustart[r] + urank[r][c] if c < r else lstart[c] + lrank[c][r]
 
-    return subsets._Schedule(
+    return dict(
         sources=[position(mask, c) for mask, cols in enumerate(pattern, 1) for c in cols],
         index=[*range(n), *(i for x in range(n - 1, 0, -1) for i in upper[x] + lower[x])],
         ustart=ustart, lstart=lstart, qstart=qstart,
@@ -523,18 +546,18 @@ def test_schedule_matches_a_symbolic_elimination(k):
     """`_schedule`'s closed form is the elimination it replays, entry by entry."""
     n = 1 << k
     plan, expected = subsets._plan(k), _symbolic_schedule(n)
-    for field in subsets._Schedule._fields:
-        assert np.asarray(getattr(plan, field)).tolist() == getattr(expected, field), field
+    for field, values in expected.items():
+        assert getattr(plan, field).tolist() == values, field
 
 
-def _sequential_substitute(factors, rhs):
+def _sequential_substitute(store, k, rhs, modulus=0):
     """`_substitute` as a walk entry by entry: the oracle of its block plan.
 
     Applies the L columns in pivot order, then back-substitutes through U
     in increasing mask order. Residue factors return residues.
     """
-    values, plan, modulus = factors
-    values = values.tolist()  # Python scalars, one per store entry
+    plan = subsets._plan(k)
+    values = store.tolist()  # Python scalars, one per store entry
     index, ustart, lstart = plan.index, plan.ustart, plan.lstart
     h = list(rhs)
     for x, l0, l1 in zip(range(len(h) - 1, 0, -1), lstart[:0:-1], ustart[-2::-1]):
@@ -557,17 +580,18 @@ def test_block_substitution_matches_the_sequential_walk(k):
     for policy in (MemorylessPolicy.uniform(k), random_policy(k, random.Random(k))):
         system = build_system(policy)
         w, values = system.w, system.coefficients.tolist()
-        cases = [(subsets._eliminate([v / w for v in values], n, 0.0),
+        cases = [(subsets._eliminate([v / w for v in values], k), 0,
                   [0.0] + [rng.uniform(-1, 1) for _ in range(n - 1)]),
-                 (subsets._eliminate(values, n, 0, subsets._PRIME),
+                 (subsets._eliminate(values, k, subsets._PRIME), subsets._PRIME,
                   [0] + [rng.randrange(subsets._PRIME) for _ in range(n - 1)]),
-                 (subsets._eliminate([Fraction(v, w) for v in values], n, Fraction(0)),
+                 (subsets._eliminate([Fraction(v, w) for v in values], k), 0,
                   [Fraction(0)] + [Fraction(rng.randint(-99, 99), rng.randint(1, 99))
                                    for _ in range(n - 1)])]
-        for factors, rhs in cases:
-            got, expected = subsets._substitute(factors, rhs), _sequential_substitute(factors, rhs)
+        for store, modulus, rhs in cases:
+            got = subsets._substitute(store, k, rhs, modulus)
+            expected = _sequential_substitute(store, k, rhs, modulus)
             assert [type(v) for v in got] == [type(v) for v in expected]
-            if factors.values.dtype == float:
+            if store.dtype == float:
                 assert [v.hex() for v in got] == [v.hex() for v in expected]
             else:
                 assert got == expected
