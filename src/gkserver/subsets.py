@@ -38,9 +38,14 @@ The system is assembled in integers, as W A h = W b straight from the
 weights W p, W the lcm of p's denominators, into one flat array of
 coefficients over the plan's columns, which the integer residual reads
 too; its Fraction rows are only a view. The exact mode factors W A once
-modulo a 521-bit prime, lifts the solution p-adically by substitution,
-rebuilds h = x / delta by rational reconstruction and returns it only if
-W A x == delta W b holds in integers; it runs through k = 12. The
+modulo the Mersenne prime P = 2^521 - 1, lifts the solution p-adically by
+substitution, rebuilds h = x / delta by rational reconstruction and
+returns it only if W A x == delta W b holds in integers; it runs through
+k = 12. Its residues are folded, not divided: 2^521 is 1 modulo P, so a
+product or a sum beyond [-P, P] becomes (v & P) + (v >> 521), a few bits
+wider than P at most (`_fold`). Residues are canonical, in [0, P), only
+where a value must be: each pivot before its zero test and its inverse,
+and the digits a substitution returns. The
 iterative mode factors once with the same elimination in float64, then
 refines by substitution alone, with exact integer residuals, until the
 requested tolerance is met. Either solver's (delta, x) is the solution:
@@ -83,13 +88,12 @@ __all__ = [
 ]
 
 # Every exact solve at k = 12 ends in seconds. Measured on a shared
-# 2-vCPU Xeon, Python 3.11, as whole `gkserver system` runs: random
-# policies (weights 1..40, random.Random(1), (2), (3)) take 7.0-9.4,
-# 7.0-7.5 and 4.3-5.9 s at a peak RSS of 71, 66 and 62.5 MB; time follows
-# the common denominator of h (16.8, 13.0 and 10.9 k bits). With --csv,
-# Random(1) takes 12.7-12.8 s at 71 MB: the CSV alone builds h's 4095
-# Fractions and their decimal digits. Uniform k = 12 takes 1.0-1.1 s at
-# 46.7 MB.
+# 2-vCPU Xeon, Python 3.11, numpy 2.4, as whole `gkserver system` runs:
+# random policies (weights 1..40, random.Random(1), (2), (3)) take
+# 4.8, 3.5-3.8 and 2.7-2.9 s at a peak RSS of 68, 63.3 and 59.4 MB; time
+# follows the common denominator of h (16.8, 13.0 and 10.9 k bits). With
+# --csv, Random(1) takes 9.3-9.4 s at 68 MB: the CSV alone builds h's 4095
+# Fractions and their decimal digits. Uniform k = 12 takes 0.5 s at 44 MB.
 EXACT_MODE_MAX_K = 12
 # The largest k at which every iterative solve ends within about 10 s and
 # 0.6 GB, one that spends the whole 60-pass budget included. Measured on a
@@ -496,6 +500,28 @@ def _schedule(n: int, rows: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray
     return np.concatenate(sources).astype(np.int32), index, ustart, lstart, qstart, updates
 
 
+def _fold(v: int, modulus: int) -> int:
+    """v itself within [-modulus, modulus], else v folded once modulo the
+    Mersenne number modulus = 2^b - 1: v = hi 2^b + lo is hi + lo modulo it.
+
+    The result is congruent to v, and under b + 3 bits when v is under
+    2b + 2 bits: one mask and one shift instead of a long division.
+    """
+    if -modulus <= v <= modulus:
+        return v
+    return (v & modulus) + (v >> modulus.bit_length())
+
+
+_folds = np.frompyfunc(_fold, 2, 1)  # `_fold` over an object array and a 0-d modulus
+
+
+def _mersenne(modulus: int) -> None:
+    """Raise ValueError unless modulus is 0 (no modulus) or 2^b - 1, the moduli `_fold` serves."""
+    if modulus & (modulus + 1):
+        raise ValueError(f"modulus {modulus} is not of the form 2^b - 1; residues fold only "
+                         "modulo a Mersenne number")
+
+
 def _eliminate(values, k: int, modulus: int = 0) -> np.ndarray:
     """Factor step of the shared elimination core: a numeric replay of `_plan(k)`'s schedule.
 
@@ -511,12 +537,17 @@ def _eliminate(values, k: int, modulus: int = 0) -> np.ndarray:
     factors are bit for bit the same. Returns the store, the factors laid
     out as `_Plan` says.
 
-    Given a modulus, integer rows are factored modulo it: the entries are
-    residues and store[x] holds the inverse of pivot x, so substitution
-    multiplies by it. Updates are not reduced: the pivot row and each L
-    factor are reduced when read, so live entries only grow by sums of
-    products of two residues.
+    Given a modulus, a Mersenne number 2^b - 1 (ValueError otherwise),
+    integer rows are factored modulo it: the entries are residues and
+    store[x] holds the inverse of pivot x, so substitution multiplies by
+    it. Only that pivot is canonical: it is reduced with % before its zero
+    test and its inverse. Every other residue is folded (`_fold`) when its
+    pivot reads it: the L column, whose raw coefficients -W p_i stay the
+    few bits they are, and the U row before and after its product with
+    the inverse. Updates are not reduced, so an entry holds its residue
+    less a few products of residues of about b bits until it is read.
     """
+    _mersenne(modulus)
     plan = _plan(k)
     store = np.zeros(len(plan.index), float if isinstance(values[0], float) else object)
     store[plan.sources] = values
@@ -534,13 +565,14 @@ def _eliminate(values, k: int, modulus: int = 0) -> np.ndarray:
         f = store[l0:l1]
         if modulus:
             store[x] = inv = pow(d, -1, modulus)
-            f %= prime
+            _folds(f, prime, out=f)
         if u0 == l0:  # a singleton's U row is empty: it updates nothing
             continue
         expr = store[u0:l0]
         if modulus:
+            _folds(expr, prime, out=expr)
             expr *= np.array(inv, object)
-            expr %= prime
+            _folds(expr, prime, out=expr)
         else:
             expr /= d
         np.subtract.at(store, plan.updates[q0:q1], np.multiply.outer(f, expr).ravel())
@@ -595,9 +627,12 @@ def _substitute(store: np.ndarray, k: int, rhs, modulus: int = 0) -> list:
     entry receives its subtractions in decreasing pivot order. Then
     back-substitutes through U a popcount level at a time, one vector op
     per U slot, in each row's order. Every float sees the operations of
-    a walk entry by entry, in the same order. Residue factors return
-    residues, reduced after each level.
+    a walk entry by entry, in the same order. Residue factors (modulo a
+    Mersenne number, ValueError otherwise) fold each h the L solve reads,
+    and its product with the pivot inverse, and each level of the U
+    solve; the residues returned are canonical, in [0, modulus).
     """
+    _mersenne(modulus)
     plan, n = _plan(k), 1 << k
     h = np.array(rhs, store.dtype)
     for base, inner, outer, pivot in zip(range((n - 1) & -_BLOCK, -1, -_BLOCK),
@@ -606,7 +641,10 @@ def _substitute(store: np.ndarray, k: int, rhs, modulus: int = 0) -> list:
         hb, diagonal = h[base:top].tolist(), store[base:top].tolist()
         factor, local = iter(store[inner].tolist()), plan.local[base > 0]
         for r in range(top - base - 1, -1 if base else 0, -1):  # mask 0 is no pivot
-            hx = hb[r] = hb[r] * diagonal[r] % modulus if modulus else hb[r] / diagonal[r]
+            if modulus:
+                hx = hb[r] = _fold(_fold(hb[r], modulus) * diagonal[r], modulus)
+            else:
+                hx = hb[r] = hb[r] / diagonal[r]
             for rid, f in zip(local[r], factor):  # local first: zip then leaves factor's next
                 hb[rid] -= f * hx
         h[base:top] = hb
@@ -616,7 +654,9 @@ def _substitute(store: np.ndarray, k: int, rhs, modulus: int = 0) -> list:
         for targets, at, columns in slots:
             h[targets] -= store[at] * h[columns]
         if modulus:
-            h[masks] %= prime
+            h[masks] = _folds(h[masks], prime)
+    if modulus:
+        h %= prime
     return h.tolist()
 
 

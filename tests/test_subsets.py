@@ -397,6 +397,53 @@ def test_pivot_vanishing_modulo_the_prime_raises():
         subsets._eliminate([6], 1, 3)
 
 
+@pytest.mark.parametrize("modulus", [2, 5, 1 << 521, (1 << 521) + 1])
+def test_residue_paths_reject_a_modulus_that_is_not_mersenne(modulus):
+    """Folding is exact only modulo 2^b - 1: both residue paths name any other modulus."""
+    with pytest.raises(ValueError, match=f"modulus {modulus} is not of the form 2\\^b - 1"):
+        subsets._eliminate([6], 1, modulus)
+    store = subsets._eliminate([6], 1, 7)
+    with pytest.raises(ValueError, match=f"modulus {modulus} is not of the form 2\\^b - 1"):
+        subsets._substitute(store, 1, [0, 1], modulus)
+
+
+def test_fold_keeps_residues_congruent_and_narrow():
+    """Within [-P, P] a value comes back as it is; beyond, one fold keeps it
+    congruent, and a value under 2b + 2 bits lands under b + 3 bits."""
+    p, b = subsets._PRIME, subsets._PRIME_BITS
+    top = (1 << 2 * b + 2) - 1
+    values = [0, 1, p, p + 1, 1 << b, (1 << 1100) + 7, top, (p - 2) * (p - 4) * ((1 << 528) + 3)]
+    assert values[-1].bit_length() == 1570
+    values += [-v for v in values]
+    folded = subsets._folds(np.array(values, object), np.array(p, object)).tolist()
+    for v, f in zip(values, folded):
+        assert f == subsets._fold(v, p) and type(f) is int
+        assert (f - v) % p == 0
+        if abs(v) <= p:
+            assert f == v
+        elif abs(v) <= top:
+            assert abs(f) < 1 << b + 3
+    # 13 = 3 * 2^2 + 1 folds to 3 + 1, and -13 = -4 * 2^2 + 3 to -4 + 3
+    assert subsets._fold(13, 3) == 4 and subsets._fold(-13, 3) == -1
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_residue_store_stays_narrow_and_digits_canonical(k):
+    """Folded factors stay within a few bits of P, and `_substitute` still returns
+    the canonical residues of the sequential walk, which solve the system
+    modulo P: that last check reads the system, not the factors."""
+    rng, p = random.Random(k), subsets._PRIME
+    for policy in (MemorylessPolicy.uniform(k), random_policy(k, random.Random(k))):
+        system = build_system(policy)
+        store = subsets._eliminate(system.coefficients, k, p)
+        assert max(abs(v).bit_length() for v in store.tolist()) <= subsets._PRIME_BITS + 8
+        r = [0] + [rng.randrange(-system.w << 8, system.w << 8) for _ in range((1 << k) - 1)]
+        y = subsets._substitute(store, k, r, p)
+        assert all(0 <= v < p for v in y)
+        assert y == _sequential_substitute(store, k, r, p)
+        assert all(v % p == 0 for v in subsets._residual(system, r, y))
+
+
 @pytest.mark.parametrize("k, u_entries, l_entries",
                          [(8, 448, 2808), (10, 2304, 16630), (12, 11264, 92148)])
 def test_factor_fill_in(k, u_entries, l_entries):
