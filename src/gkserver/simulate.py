@@ -40,7 +40,7 @@ from collections.abc import Iterable
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from itertools import accumulate, chain, compress, count, permutations, product, starmap
+from itertools import chain, compress, count, islice, permutations, product, starmap
 from math import sqrt
 from operator import attrgetter, itemgetter, length_hint, ne
 
@@ -392,6 +392,7 @@ _BLOCK, _CHUNK = 1024, 256  # phases seeded at once, integers PolicySampler draw
 # of all lanes in one round, and in one _draws call (arrays of 64 KiB); steps a lane may
 # walk while a phase before it is still running
 _ROUND_MIN, _ROUND_MAX, _ROUND_OUTPUTS, _GRID, _LEAD = 8, 2**11, 2**15, 2**13, 2**12
+_LOCKSTEP = 32  # lanes of a round from which they walk in lockstep (_lockstep)
 _AHEAD = 16  # the lanes after the first unfinished one walk together ~1/_AHEAD of steps left
 _TABLE_MAX = 2**16  # largest denominator whose draws find their metric in a table
 # the draws a lane walks per lookup in the mask table of k metrics: the largest m <= 8 with
@@ -528,31 +529,133 @@ def _rule(mask: int, drawn: list[int], flip: bool, bit: list[int]) -> tuple[int,
 
 
 @cache
-def _gram_table(k: int, flip: bool) -> tuple[list[array], list[array]]:
-    """The m-gram mask table (m = _GRAM[k]) as (masks, ends), one row per mask S.
+def _lockstep_tables(k: int, flip: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The m-gram mask table (m = _GRAM[k]) and the one-step table of _rule as flat arrays
+    (grams, ends, steps) that _lockstep indexes by a lane's state plus a code. In grams and
+    ends mask S has the state S w, w = k^m + 1, and in steps S (k + 1).
 
-    Column c stands for the m draws whose metric indices are c's base-k
-    digits, first draw most significant. masks[S][c] is the mask after
-    them, or 0 if the phase ends within them; then ends[S][c] is the draw,
-    1 to m, at which it ends. The table is m compositions of the one-step
-    table of _rule, where 0 stays 0. Entries below 2^8 take one byte,
-    masks at k = 9 two.
+    Code c < k^m stands for the m draws whose metric indices are c's
+    base-k digits, first draw most significant. grams[S w + c] is the
+    state after them, or 0 if the phase ends within them; then
+    ends[S w + c] is the draw, 1 to m, at which it ends. grams is m
+    compositions of the one-step table: steps[S (k + 1) + d] is the state
+    after drawing metric d < k. The pad codes, k^m of grams and k of steps,
+    keep every state, and row 0 is all 0, so an ended lane stays ended.
     """
     bit = [1 << j for j in range(k)]
     step = np.array([[_rule(s, [j], flip, bit)[0] if s else 0 for j in range(k)]
                      for s in range(1 << k)])
-    step = step.astype(np.min_scalar_type(step.max()))
-    masks, ends = np.arange(1 << k, dtype=step.dtype)[:, None], np.zeros((1 << k, 1), np.uint8)
+    keep = np.arange(1 << k)[:, None]
+    masks, ends = keep, np.zeros((1 << k, 1), np.uint8)
     for _ in range(_GRAM[k]):
         # a column c of i draws becomes the columns c k + d: draw d follows
         ends = np.repeat(ends + (masks > 0), k, axis=1)  # draws before the mask reached 0
         masks = step[masks].reshape(len(masks), -1)
-    return tuple([array(t.dtype.char, row.tobytes()) for row in t] for t in (masks, ends))
+    # the largest state, (2^k - 1) (k^m + 1), stays below 2^16 up to k = 9
+    grams = (np.hstack((masks, keep)) * (masks.shape[1] + 1)).astype(np.uint16)
+    ends = np.hstack((ends, np.zeros_like(keep, np.uint8)))
+    steps = (np.hstack((step, keep)) * (k + 1)).astype(np.uint16)
+    return grams.ravel(), ends.ravel(), steps.ravel()
+
+
+@cache
+def _gram_table(k: int, flip: bool) -> tuple[list, list]:
+    """_lockstep_tables' m-gram table as (masks, ends), one row a mask S, without the pad
+    code, for the per-lane walk: masks[S][c] is the mask after the m-gram c from mask S,
+    or 0, and then ends[S][c] is the draw at which the phase ends. A row of entries below
+    2^8 is a bytes object, which Python indexes fastest; masks at k = 9 take array rows of
+    two bytes an entry."""
+    grams, ends, _ = _lockstep_tables(k, flip)
+    w = k ** _GRAM[k] + 1
+    masks = grams.reshape(-1, w)[:, :-1] // w
+    masks = masks.astype(np.min_scalar_type(masks.max()))
+    return tuple([bytes(row) if t.itemsize == 1 else array(t.dtype.char, row.tobytes())
+                  for row in t] for t in (masks, ends.reshape(-1, w)[:, :-1]))
+
+
+def _lockstep(tables, k: int, masks, metrics, counts):
+    """(masks after, draws used) of lanes that walk their draws in lockstep, up to k = 9:
+    lane l's draws are the next counts[l] metric indices of `metrics`.
+
+    Row c of a grams x lanes array holds every lane's m-gram c, or the pad
+    code past the lane's grams; one gather over _lockstep_tables a row walks
+    all lanes, then one a draw of the last count % m draws, padded with k.
+    A lane's nonzero states after the first count the rows it walked
+    through, so they give the gram, and `ends` the draw, at which it ended.
+    """
+    if not len(metrics):  # every draw rejected: there is nothing to take from
+        return masks, counts
+    gram_states, ends, steps = tables
+    m = _GRAM[k]
+    w = k ** m + 1
+    starts, grams = np.cumsum(counts) - counts, counts // m
+    cols = int(grams.max())
+    column = np.arange(cols)[:, None]
+    at = starts + m * column
+    codes = metrics.take(at, mode="clip").astype(np.intp)
+    for i in range(1, m):
+        codes = codes * k + metrics.take(at + i, mode="clip")
+    codes[column >= grams] = w - 1
+    draw = np.arange(m - 1)[:, None]
+    tail = metrics.take(starts + m * grams + draw, mode="clip").astype(np.intp)
+    tail[draw >= counts - m * grams] = k
+    path = np.empty((cols + m, len(counts)), np.intp)
+    path[0] = masks * w
+    for c in range(cols):
+        path[c + 1] = gram_states[path[c] + codes[c]]
+    path[cols] = path[cols] // w * (k + 1)  # the states of steps
+    for c in range(cols, cols + m - 1):
+        path[c + 1] = steps[path[c] + tail[c - cols]]
+    rows = np.count_nonzero(path[1:], axis=0)
+    used = np.where(path[-1] != 0, counts, m * grams + rows - cols + 1)
+    ended = np.flatnonzero(rows < cols)  # within a gram
+    c = rows[ended]
+    used[ended] = m * c + ends[path[c, ended] + codes[c, ended]]
+    return path[-1] // (k + 1), used
+
+
+class _Round:
+    """A wide round's metric indices and the lanes after the head that walked in it, each
+    with the start and count of its draws among them."""
+
+    def __init__(self, metrics: memoryview, lanes, starts, used):
+        self.metrics, self.lanes, self.starts, self.used = metrics, lanes, starts, used
+
+    @cached_property
+    def slices(self) -> dict:
+        """Each lane's slice of the metric indices, worked out when the round is first read."""
+        ends = (self.starts + self.used).tolist()
+        return dict(zip(self.lanes.tolist(), map(slice, self.starts.tolist(), ends)))
+
+
+class _Held:
+    """The steps lanes walked while a phase before them still ran, lane after lane: their
+    slices of the rounds' metric indices, read only when iterated; len() is their count."""
+
+    __slots__ = ("rounds", "lanes", "size")
+
+    def __init__(self, rounds: list[_Round], lanes: range, size: int):
+        self.rounds, self.lanes, self.size = rounds, lanes, size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return chain.from_iterable(self._slices())  # the steps, read at C speed
+
+    def _slices(self):
+        for lane in self.lanes:
+            # a lane after the head walks in every wide round until it stops walking ahead,
+            # so its slices lie in a prefix of the rounds
+            for walked in self.rounds:
+                if (where := walked.slices.get(lane)) is None:
+                    break
+                yield walked.metrics[where]
 
 
 def _walk(config: ExperimentConfig, lengths: list[int]):
-    """Walk the mask S of differing metrics; yield arrays of the metric indices drawn and
-    used, in phase order.
+    """Walk the mask S of differing metrics; yield sized iterables of the metric indices
+    drawn and used, in phase order.
 
     Both adversaries force a policy move every step and move one server
     per phase, so a run is a walk on S: a phase starts at S = {k}, the
@@ -560,18 +663,32 @@ def _walk(config: ExperimentConfig, lengths: list[int]):
     (lower_bound) or always flips (n2), and the phase ends at S = {}.
     The phases of a 1024-phase block are lanes walked in lockstep rounds.
     A round draws every walking lane's next outputs (_draws, _GRID outputs
-    a call at most), then walks each lane's draws in Python. Up to k = 9 a
-    lane walks m = _GRAM[k] draws per lookup in _gram_table, keyed by their
-    m-gram code, which numpy computes for every lane at once; the table
-    also gives the draw at which a phase ends inside a gram, and the mask
-    rule (_rule) walks the lane's last count % m draws. From k = 10 on
-    _rule walks every draw. A lane's outputs a round double from
-    _ROUND_MIN to _ROUND_MAX, and a round takes at most _ROUND_OUTPUTS
-    over all its lanes. A lane's steps are yielded once every phase before
-    it has ended; until then the lane holds them, and it pauses after
-    _LEAD steps. The lanes after the first unfinished one walk only while
-    they hold, together, under 1/_AHEAD of the steps left, so the steps
-    walked past a budget cut stay a small share of it.
+    a call at most), then walks them. A lane's outputs a round double from
+    _ROUND_MIN to _ROUND_MAX, and a round takes at most _ROUND_OUTPUTS over
+    all its lanes.
+
+    Up to k = 9 a lane walks m = _GRAM[k] draws per lookup in the m-gram
+    table, keyed by their m-gram code, and the mask rule walks its last
+    count % m draws. So a round walks its lanes one of two ways, with the
+    same result. A round of at least _LOCKSTEP lanes walks them in
+    lockstep (_lockstep): one numpy gather over all lanes per gram
+    position, so no Python runs per lane. A narrower round, and the head
+    lane walking alone, walks lane by lane in Python over _gram_table's
+    rows. A gather costs about 1 us however few lanes it reads, a Python
+    lookup 35-60 ns, and a lockstep call some 40 us more, while lanes that
+    end early in a round stop costing Python lookups only; measured on the
+    benchmark's configs and demo 02, the two paths break even near 20-30
+    lanes, and at 32 the runs with at most 25 phases keep the lane-by-lane
+    walk throughout. From k = 10 on _rule walks every draw, lane by lane.
+
+    A lane's steps are yielded once every phase before it has ended; until
+    then it holds them, and it pauses after _LEAD steps. Held steps are not
+    copied: a round of several lanes keeps its metric indices with each
+    lane's start and count, and a lane's steps are yielded as its slices
+    (_Held), read only if the caller iterates them. The lanes after the
+    first unfinished one walk only while they hold, together, under
+    1/_AHEAD of the steps left, so the steps walked past a budget cut stay
+    a small share of it.
     config.max_steps cuts the walk in phase order: a lane stops once the
     lanes up to it have walked the steps left. A finished phase appends its
     length to `lengths`. So the walk yields the sum of `lengths` steps when
@@ -579,8 +696,7 @@ def _walk(config: ExperimentConfig, lengths: list[int]):
     """
     k = config.spec.k
     den, thresholds = exact_thresholds(config.policy.probs)
-    index = np.min_scalar_type(k - 1)  # held steps are metric indices of `size` bytes
-    size = index.itemsize
+    index = np.min_scalar_type(k - 1)  # the dtype of the metric indices
     if den <= _TABLE_MAX:  # a draw's metric, looked up
         metric = np.repeat(np.arange(k, dtype=index), np.diff(thresholds, prepend=0)).take
     else:  # uint64 cuts beside uint64 draws: int64 would make searchsorted compare in float64
@@ -591,81 +707,113 @@ def _walk(config: ExperimentConfig, lengths: list[int]):
     gram = _GRAM.get(k)
     if gram:
         table, ends = _gram_table(k, flip)
+        tables = _lockstep_tables(k, flip)
+
+    def by_lane(masks: list[int], metrics, got):
+        """(masks after, draws used) of lanes walked one after another in Python: lane l's
+        draws are the next got[l] metric indices of `metrics`."""
+        after, used, end = [], [], 0
+        if not gram:
+            drawn = metrics.tolist()
+            for mask, count in zip(masks, got.tolist()):
+                start, end = end, end + count
+                mask, steps = _rule(mask, drawn[start:end], flip, bit)
+                after.append(mask)
+                used.append(steps)
+            return after, used
+        # lane l's gram g starts at draw start_l + m (g - first gram of l)
+        grams = got // gram
+        at = np.repeat(np.cumsum(got) - got - gram * (np.cumsum(grams) - grams),
+                       grams) + gram * np.arange(grams.sum())
+        codes = metrics[at].astype(np.intp)
+        for i in range(1, gram):
+            codes = codes * k + metrics[at + i]
+        codes, high, raw = codes.tolist(), 0, memoryview(metrics)
+        for mask, count, lookups in zip(masks, got.tolist(), grams.tolist()):
+            end += count
+            low, high = high, high + lookups
+            after_gram = mask
+            lane = iter(codes[low:high])
+            for code in lane:
+                if not (after_gram := table[mask][code]):
+                    break
+                mask = after_gram
+            if after_gram:  # the rule walks the last count % m draws
+                tail = raw[end - count % gram:end].tolist()
+                mask, steps = _rule(mask, tail, flip, bit)
+                steps += count - len(tail)
+            else:  # the phase ended in the gram of `code`
+                mask, steps = 0, gram * (lookups - length_hint(lane) - 1) + ends[mask][code]
+            after.append(mask)
+            used.append(steps)
+        return after, used
+
     room = config.max_steps  # steps left when the first unfinished phase starts
     for first in range(0, config.phases, _BLOCK):
         lanes = _phase_lanes(config.seed, first, min(first + _BLOCK, config.phases))
         n = len(lanes)
-        masks, walked, held = [1 << (k - 1)] * n, [0] * n, [array(index.char) for _ in range(n)]
+        # Python ints from k = 64 on
+        masks = np.full(n, 1 << (k - 1), np.int64 if k < 64 else object)
+        walked = np.zeros(n, np.int64)
+        rounds = []  # the wide rounds (_Round)
         head = sent = 0  # the first unfinished lane, and its steps yielded so far
-        live, width = list(range(1, n)), _ROUND_MIN  # the lanes after head that may walk
+        held = ()  # the head's steps since `sent`
+        live, width = np.arange(1, n), _ROUND_MIN  # the lanes after head that may walk
         while True:
-            while head < n and not masks[head] and walked[head] <= room:
-                yield held[head]
-                held[head] = None
-                lengths.append(walked[head])
-                room -= walked[head]
-                head, sent = head + 1, 0
-            if head == n:
-                break
+            if not masks[head]:
+                # the lanes from head on whose phases have ended within the steps left
+                ended = np.flatnonzero(masks[head:])
+                done = int(ended[0]) if len(ended) else n - head
+                total = walked[head:head + done].cumsum()
+                if total[-1] > room:
+                    done = int(total.searchsorted(room, "right"))
+                if done:
+                    yield held
+                    yield _Held(rounds, range(head + 1, head + done),
+                                int(total[done - 1] - total[0]))
+                    lengths.extend(walked[head:head + done].tolist())
+                    room -= int(total[done - 1])
+                    head, sent = head + done, 0
+                    if head == n:
+                        break
+                    held = _Held(rounds, range(head, head + 1), int(walked[head]))
             if walked[head] >= room:  # the step budget ends inside this phase
-                yield held[head][:room - sent]
+                yield list(islice(held, room - sent))
                 return
-            yield held[head]
-            held[head], sent = array(index.char), walked[head]
-            before = list(accumulate(walked[head:], initial=0))
-            # the lanes after head walk while they hold, together, under 1/_AHEAD of room, so
-            # the steps walked past the cut stay near room
-            if before[-1] - before[1] < room // _AHEAD:
-                # lane j may walk room - before[j - head] steps: those left once the lanes
-                # from head to the one before j have walked theirs
-                live = [j for j in live if j > head and masks[j]
-                        and walked[j] < min(_LEAD, room - before[j - head])]
-                walking = [head, *live]
-            else:
-                walking = [head]
+            yield held
+            sent = int(walked[head])
+            walking = [head]
+            if len(live):
+                ahead = walked[head:].cumsum()  # ahead[i]: the steps lanes head to head + i hold
+                # the lanes after head walk while they hold, together, under 1/_AHEAD of room,
+                # so the steps walked past the cut stay near room
+                if ahead[-1] - ahead[0] < room // _AHEAD:
+                    # lane j walks on while it holds under _LEAD steps and the lanes from head
+                    # to j hold under room, which keeps a prefix of the lanes
+                    stop = head + ahead.searchsorted(min(room, int(ahead[-1]) + 1))
+                    live = live[live.searchsorted(head, "right"):live.searchsorted(stop)]
+                    live = live[(masks[live] != 0) & (walked[live] < _LEAD)]
+                    walking = np.concatenate((walking, live))
             outputs = min(width, _ROUND_OUTPUTS // len(walking))
             lanes_a_call = _GRID // outputs
-            for group in (walking[g:g + lanes_a_call]
-                          for g in range(0, len(walking), lanes_a_call)):
+            bufs, counts = [], []
+            for g in range(0, len(walking), lanes_a_call):
+                group = walking[g:g + lanes_a_call]
                 rows = lanes[group]
-                drawn, counts = _draws(den, rows, outputs)
+                drawn, got = _draws(den, rows, outputs)
                 lanes[group] = rows
-                metrics = metric(drawn)
-                raw, end = memoryview(metrics).cast("B"), 0
-                if not gram:
-                    drawn = metrics.tolist()
-                    for j, count in zip(group, counts.tolist()):
-                        start, end = end, end + count
-                        masks[j], used = _rule(masks[j], drawn[start:end], flip, bit)
-                        walked[j] += used
-                        held[j].frombytes(raw[start * size:(start + used) * size])
-                    continue
-                # lane l's gram g starts at draw start_l + m (g - first gram of l)
-                grams = counts // gram
-                at = np.repeat(np.cumsum(counts) - counts - gram * (np.cumsum(grams) - grams),
-                               grams) + gram * np.arange(grams.sum())
-                codes = metrics[at].astype(np.intp)
-                for i in range(1, gram):
-                    codes = codes * k + metrics[at + i]
-                codes, high = codes.tolist(), 0
-                for j, count, lookups in zip(group, counts.tolist(), grams.tolist()):
-                    start, end = end, end + count
-                    low, high = high, high + lookups
-                    mask = after = masks[j]
-                    lane = iter(codes[low:high])
-                    for code in lane:
-                        if not (after := table[mask][code]):
-                            break
-                        mask = after
-                    if after:  # the rule walks the last count % m draws
-                        tail = raw[end - count % gram:end].tolist()
-                        masks[j], used = _rule(mask, tail, flip, bit)
-                        used += count - len(tail)
-                    else:  # the phase ended in the gram of `code`
-                        masks[j] = 0
-                        used = gram * (lookups - length_hint(lane) - 1) + ends[mask][code]
-                    walked[j] += used
-                    held[j].frombytes(raw[start:start + used])  # k <= 9: one byte a step
+                bufs.append(metric(drawn))
+                counts.append(got)
+            metrics, got = np.concatenate(bufs), np.concatenate(counts)
+            if gram and len(walking) >= _LOCKSTEP:
+                masks[walking], used = _lockstep(tables, k, masks[walking], metrics, got)
+            else:
+                masks[walking], used = by_lane(masks[walking].tolist(), metrics, got)
+            walked[walking] += used
+            buf = memoryview(metrics)
+            held = buf[:used[0]]  # the head's: walking[0]'s draws come first
+            if len(walking) > 1:
+                rounds.append(_Round(buf, walking[1:], (np.cumsum(got) - got)[1:], used[1:]))
             width = min(2 * width, _ROUND_MAX)
 
 

@@ -818,21 +818,31 @@ def _solve_iterative(system: SubsetSystem, tolerance: Fraction, max_iterations: 
     # a / w is float(Fraction(a, w)): int true division rounds correctly
     store = _eliminate((system.coefficients / w).astype(float), k)
     tn, td = min(tolerance, 1).as_integer_ratio()  # the error bound needs t <= 1
-    x = [0] * n
+    x = np.zeros(n, object)
     e = 0
     for iteration in range(max_iterations + 1):
         scale = w << e
         r = _residual(system, scale, x)
         worst = max(map(abs, r))
         # worst / scale * (1 + max(x) / 2^E) < tn / td, cross-multiplied
-        if worst * ((1 << e) + max(x)) * td < (tn * scale) << e:
-            return _Scaled(1 << e, x), iteration, Fraction(worst, scale)
+        if worst * ((1 << e) + x.max()) * td < (tn * scale) << e:
+            return _Scaled(1 << e, x.tolist()), iteration, Fraction(worst, scale)
         if iteration == max_iterations:
             break
-        correction = [c.as_integer_ratio() for c in _substitute(store, k, [v / scale for v in r])]
-        e_new = max(e, max(den.bit_length() for _, den in correction) - 1)
-        x = [(xi << (e_new - e)) + (num << (e_new + 1 - den.bit_length()))
-             for xi, (num, den) in zip(x, correction)]
+        # int / int rounds correctly, entry by entry
+        correction = np.array(_substitute(store, k, np.array(r, object) / scale))
+        for c in correction[~np.isfinite(correction)][:1]:
+            c.as_integer_ratio()  # raises, as the ratio of an infinity or a NaN does
+        # c = m 2^(exponent - 53) with m an integer below 2^53, whose trailing zeros (64 for
+        # m = 0) cancel against 2^(53 - exponent): c's ratio has the denominator 2^d
+        mantissa, exponent = np.frexp(correction)
+        m = np.ldexp(mantissa, 53).astype(np.int64)
+        zeros = np.bitwise_count((m & -m).view(np.uint64) - np.uint64(1))
+        e_new = max(e, int(np.maximum(53 - exponent - zeros, 0).max()))
+        # x 2^(e_new - E) + c 2^e_new, where c 2^e_new = m 2^shift is an integer
+        shift = exponent - 53 + e_new
+        m = (m >> np.maximum(-shift, 0)).astype(object) << np.maximum(shift, 0).astype(object)
+        x = (x << (e_new - e)) + m
         e = e_new
     residual = Fraction(worst, scale)
     raise SolverError(

@@ -649,6 +649,62 @@ def test_walk_past_a_budget_cut_stays_near_the_budget(monkeypatch):
         assert max(outputs) == simulate._GRID
 
 
+def _skewed(k):
+    """Weights 1..k, so the metrics are drawn with unequal probabilities."""
+    return [f"{j + 1}/{k * (k + 1) // 2}" for j in range(k)]
+
+
+def _over_3_2_30(k):
+    """Nearly uniform weights over the common denominator 3 * 2^30 + 1."""
+    den = 3 * 2**30 + 1
+    return [f"{den // k}/{den}"] * (k - 1) + [f"{den - den // k * (k - 1)}/{den}"]
+
+
+# (k, adversary, policy, phases, seed, max_steps)
+WALK_PATH_CASES = [
+    (k, adversary, policy, 40, 2**32 + k, 20000)
+    for k in range(1, 10) for adversary in ("lower_bound", "n2")
+    for policy in ([["1"]] if k == 1 else [[f"1/{k}"] * k, _skewed(k)])] + [
+    # a common denominator of 3 * 2^30 + 1: draws looked up by searchsorted, and a quarter of
+    # them rejected, so lanes get uneven counts and short lanes walk pad codes
+    *((k, adversary, _over_3_2_30(k), 60, 5, 20000)
+      for k, adversary in ((3, "lower_bound"), (4, "n2"), (6, "lower_bound"), (9, "n2"))),
+    # phases across the 1024-phase block boundary
+    (2, "lower_bound", ["1/2"] * 2, 1100, 6, 10**9),
+    # cuts inside the first phase; inside phase 5 while lane 11 holds _LEAD steps; inside
+    # phase 11, which walked _LEAD steps ahead before it became the first unfinished phase
+    (9, "lower_bound", ["1/9"] * 9, 40, 3, 3000),
+    (6, "lower_bound", ["1/6"] * 6, 20, 2, 5000),
+    (6, "lower_bound", ["1/6"] * 6, 20, 2, 12000),
+]
+
+
+@pytest.mark.parametrize("k, adversary, policy, phases, seed, max_steps", WALK_PATH_CASES)
+def test_lockstep_and_lane_by_lane_walks_agree(monkeypatch, k, adversary, policy, phases,
+                                               seed, max_steps):
+    cfg = ExperimentConfig.from_dict({
+        "k": k, "n": [2 if adversary == "n2" else 3] * k, "policy": policy,
+        "adversary": adversary, "phases": phases, "seed": seed, "max_steps": max_steps})
+    walks = []
+    # every round walked in lockstep, the head lane alone too, then none
+    for lockstep in (1, simulate._BLOCK + 1):
+        monkeypatch.setattr(simulate, "_LOCKSTEP", lockstep)
+        lengths = []
+        walks.append((list(chain.from_iterable(simulate._walk(cfg, lengths))), lengths))
+    assert walks[0] == walks[1]
+    steps, lengths = walks[0]
+    assert len(steps) == min(sum(lengths) if len(lengths) == phases else max_steps, max_steps)
+    # the cuts lie inside phases 0, 5 and 11
+    assert len(lengths) == {3000: 0, 5000: 5, 12000: 11}.get(max_steps, len(lengths))
+
+
+def test_lockstep_walk_of_lanes_without_draws_keeps_them():
+    # every draw of a round rejected: the lanes keep their masks and use no draws
+    masks, used = simulate._lockstep(simulate._lockstep_tables(3, False), 3, np.array([4, 5]),
+                                     np.zeros(0, np.uint8), np.zeros(2, np.int64))
+    assert masks.tolist() == [4, 5] and used.tolist() == [0, 0]
+
+
 @pytest.mark.parametrize("adversary,n_point", [("lower_bound", 3), ("n2", 2)])
 def test_trace_takes_each_adversary_move_from_its_step_function(monkeypatch, adversary, n_point):
     # the replay calls the public step once per distinct (policy, adversary)

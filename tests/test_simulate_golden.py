@@ -100,6 +100,12 @@ TRACE_SHA256 = {
     "k64_max_steps": (_cfg(64, 3, ["1/64"] * 64, "lower_bound", 5, 25, max_steps=500,
                            emit_trace=True),
                       "dd7546054e240d4cb9121184d6da47098c94b7be7e986c1389b31dd70bdbf809"),
+    # long phases walked in wide rounds: up to 40 lanes of three-draw grams a _draws call
+    "lb6_wide": (_cfg(6, 3, ["1/6"] * 6, "lower_bound", 40, 26, emit_trace=True),
+                 "b346e9fbc1043ec38757269b8b337fbe70a74783ddb6d42634ca14daaf6aae51"),
+    # two-byte masks and two-draw grams, up to 64 lanes a _draws call
+    "n2k9_wide": (_cfg(9, 2, ["1/9"] * 9, "n2", 64, 27, emit_trace=True),
+                  "9238039a18d4b2d4a222ad2033e44b8fd90936f10eb29203d43527e4b721e12e"),
 }
 
 

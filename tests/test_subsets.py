@@ -282,6 +282,17 @@ def test_iterative_rejects_a_bad_pass_budget_before_factoring(monkeypatch, max_i
         solve_system(MemorylessPolicy.uniform(3), mode="iterative", max_iterations=max_iterations)
 
 
+@pytest.mark.parametrize("bad, error", [(math.inf, OverflowError), (-math.inf, OverflowError),
+                                        (math.nan, ValueError)])
+def test_iterative_raises_on_a_non_finite_correction(monkeypatch, bad, error):
+    # a correction that is no dyadic rational raises as float.as_integer_ratio does
+    substitute = subsets._substitute
+    monkeypatch.setattr(subsets, "_substitute",
+                        lambda *args: [0.5, bad, *substitute(*args)[2:]])
+    with pytest.raises(error, match="integer ratio"):
+        solve_system(MemorylessPolicy.uniform(3), mode="iterative")
+
+
 @pytest.mark.parametrize("length", [7, 9])
 def test_residual_rejects_an_h_of_the_wrong_length(length):
     with pytest.raises(ValueError, match=f"h has {length} entries; a k = 3 system has 8 masks"):
