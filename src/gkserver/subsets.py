@@ -23,8 +23,8 @@ Subsets are k-bit masks: metric i (canonical order) is bit i-1.
 
 Solving: equations are eliminated in decreasing mask order, which keeps
 fill-in tiny (each reduced row touches only a handful of "tail"
-subsets). Every policy at a given k shares the sparsity pattern, and the
-pattern has a closed form, so what a solve needs to know of it is worked
+subsets). Every policy at a given k shares the sparsity pattern, which
+`_pattern` states, so what a solve needs to know of it is worked
 out once per k, as one plan of arrays (`_plan`), and kept for the last
 _PLANS values of k. The plan says where each pivot reads and writes
 (`_schedule`) in one flat store, which each factorization fills by
@@ -61,7 +61,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
 from math import gcd, isqrt
 from operator import eq
 from typing import NamedTuple
@@ -233,27 +232,34 @@ def _residual(system: SubsetSystem, b, x: list[int]) -> list[int]:
     return out
 
 
-def _columns(k: int):
-    """The masks each row of the k-metric system is over, row by row in mask order.
+def _pattern(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, columns, bits, rows): the pattern of the k-metric systems, and the one
+    statement of the subset walk's row rule. Every policy at k has it, as every p_i > 0.
 
-    Row S lists S \\ {m} (none for a singleton, as h(empty) = 0), then
-    S u {j} for the j not in S in increasing order, then S. Every policy
-    at k has this pattern, since every p_i > 0.
+    Row S, low its lowest bit, is over the cells of the grid (S ^ low, S | 1 << 0, ...,
+    S | 1 << k - 1, S) that differ from S and are nonzero, then S: S \\ {min S} but for a
+    singleton (h(empty) = 0), then S u {j} for the j not in S in increasing order, then
+    the diagonal. Row i, of mask i + 1, is over columns[starts[i]:starts[i + 1]]; entry e
+    is in row rows[e] and carries the weight of metric bits[e], the one bit of S ^ column,
+    or min S on the diagonal.
     """
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        yield ((mask ^ low,) if mask != low else ()) + tuple(
-            mask | 1 << j for j in range(k) if not mask >> j & 1) + (mask,)
+    masks = np.arange(1, 1 << k, dtype=np.int32)[:, None]
+    low = masks & -masks
+    grid = np.hstack((masks ^ low, masks | 1 << np.arange(k, dtype=np.int32), masks))
+    keep = (grid != masks) & (grid != 0)
+    keep[:, -1] = True
+    starts = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))), dtype=np.int32)
+    columns, rows = grid[keep], np.broadcast_to(masks, grid.shape)[keep]
+    grid ^= masks
+    grid[:, -1:] = low  # the diagonal carries min S
+    return starts, columns, np.bitwise_count(grid[keep] - 1).astype(np.int8), rows
 
 
 class _Plan(NamedTuple):
     """What every system with k metrics shares, worked out once per k (`_plan`).
 
-    First the sparsity pattern, row by row in mask order: row i, of mask
-    i + 1, is over the masks columns[starts[i]:starts[i + 1]], as
-    `_columns` lists them, the diagonal last; bits[j] is the metric whose
-    weight entry j carries: the one bit of S ^ column for a neighbour,
-    min(S) on the diagonal.
+    First the sparsity pattern, as `_pattern` states it: row i, of mask i + 1, is over
+    the masks columns[starts[i]:starts[i + 1]], and entry j weighs metric bits[j].
 
     Then where their elimination reads and writes (`_schedule`): the
     factors live in one flat store. Entry x < n = 2^k is pivot x's
@@ -310,16 +316,9 @@ _PLANS = 2
 @lru_cache(_PLANS)
 def _plan(k: int) -> _Plan:
     """The plan of the k-metric systems; cached for the last _PLANS values of k."""
-    masks = np.arange(1, 1 << k, dtype=np.int32)
-    # row S is over S \ {m} (but for a singleton), the k - |S| masks S u {j} and S
-    lengths = (masks != masks & -masks) + k + 1 - np.bitwise_count(masks)
-    starts = np.concatenate(([0], np.cumsum(lengths))).astype(np.int32)
-    columns = np.fromiter(chain.from_iterable(_columns(k)), np.int32, starts[-1])
-    rows = np.repeat(masks, lengths)  # the row of each entry
-    bit = np.where(columns == rows, rows & -rows, columns ^ rows)
+    starts, columns, bits, rows = _pattern(k)
     schedule = _schedule(1 << k, rows, columns)
-    return _Plan(starts, columns, np.bitwise_count(bit - 1).astype(np.int8), *schedule,
-                 *_blocks(*schedule[1:4]))
+    return _Plan(starts, columns, bits, *schedule, *_blocks(*schedule[1:4]))
 
 
 def build_system(policy: MemorylessPolicy) -> SubsetSystem:

@@ -573,6 +573,28 @@ def test_gram_table_matches_the_rule(k, adversary):
                 assert ends[mask][code] == end
 
 
+@pytest.mark.parametrize("adversary", ["lower_bound", "n2"])
+@pytest.mark.parametrize("k", range(1, 10))
+def test_lockstep_tables_keep_their_pads_and_row_0(k, adversary):
+    """Beyond the m-gram masks `_gram_table` reads: the pad codes keep every state,
+    row 0 is all 0, the one-step table is the rule, and no state wraps in uint16."""
+    flip, m = adversary == "n2", simulate._GRAM[k]
+    w = k**m + 1
+    # the largest state of each table, in Python ints, before the cast
+    assert (2**k - 1) * w < 2**16 and (2**k - 1) * (k + 1) < 2**16
+    grams, ends, steps = simulate._lockstep_tables(k, flip)
+    assert grams.dtype == steps.dtype == np.uint16
+    grams, ends, steps = (t.astype(int).reshape(2**k, -1) for t in (grams, ends, steps))
+    assert grams.shape == ends.shape == (2**k, w) and steps.shape == (2**k, k + 1)
+    states = np.arange(2**k)
+    assert grams[:, -1].tolist() == (states * w).tolist() and not ends[:, -1].any()
+    assert steps[:, -1].tolist() == (states * (k + 1)).tolist()
+    assert not grams[0].any() and not ends[0].any() and not steps[0].any()
+    for mask in range(1, 2**k):
+        assert steps[mask, :k].tolist() == [_rule_reference(k, flip, mask, [d])[0] * (k + 1)
+                                             for d in range(k)]
+
+
 # k = 10 walks by the rule alone: a cut case on that path
 TABLE_CASES = [(k, adversary, policy) for k in range(1, 10) for adversary in ("lower_bound", "n2")
                for policy in (("uniform", "random", "den") if k > 1 else ("uniform",))] + [

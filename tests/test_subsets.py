@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -547,6 +548,37 @@ def test_store_type_follows_the_values_not_their_container(k):
             == [v.hex() for v in subsets._substitute(stores[1], k, floats)])
 
 
+def _columns(k: int):
+    """The masks each row of the k-metric system is over, row by row in mask order.
+
+    Row S lists S \\ {m} (none for a singleton, as h(empty) = 0), then
+    S u {j} for the j not in S in increasing order, then S. Every policy
+    at k has this pattern, since every p_i > 0.
+    """
+    for mask in range(1, 1 << k):
+        low = mask & -mask
+        yield ((mask ^ low,) if mask != low else ()) + tuple(
+            mask | 1 << j for j in range(k) if not mask >> j & 1) + (mask,)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_pattern_matches_the_row_oracle(k):
+    """`_pattern`'s grid lists the rows `_columns` lists, and each entry's row and
+    weight bit (the one bit of S ^ column, min S on the diagonal), dtypes included."""
+    pattern = list(_columns(k))
+    rows = [mask for mask, cols in enumerate(pattern, 1) for _ in cols]
+    columns = [c for cols in pattern for c in cols]
+    expected = {
+        "starts": np.array([0, *itertools.accumulate(map(len, pattern))], np.int32),
+        "columns": np.array(columns, np.int32),
+        "bits": np.array([((c ^ r) or r & -r).bit_length() - 1 for r, c in zip(rows, columns)],
+                         np.int8),
+        "rows": np.array(rows, np.int32),
+    }
+    for (name, want), got in zip(expected.items(), subsets._pattern(k), strict=True):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+
+
 def _symbolic_schedule(n):
     """The schedule fields of `_plan(k)`, n = 2^k, as lists by field name, from an
     elimination of the pattern itself.
@@ -558,7 +590,7 @@ def _symbolic_schedule(n):
     those drops x and appends the U columns it lacks. The store positions
     follow the layout of `_Plan`.
     """
-    pattern = list(subsets._columns(n.bit_length() - 1))
+    pattern = list(_columns(n.bit_length() - 1))
     rows = {mask: dict.fromkeys(cols) for mask, cols in enumerate(pattern, 1)}
     holders = {c: set() for c in range(1, n)}  # the rows below c that hold column c
     for mask, cols in enumerate(pattern, 1):
@@ -687,7 +719,7 @@ def test_residual_over_chunk_boundaries_matches_the_row_formula(k):
     rng = random.Random(k)
     system = build_system(random_policy(k, rng))
     w, values = system.w, iter(system.coefficients.tolist())
-    rows = [(cols, [next(values) for _ in cols]) for cols in subsets._columns(k)]
+    rows = [(cols, [next(values) for _ in cols]) for cols in _columns(k)]
     x = [rng.randrange(-1 << 300, 1 << 300) for _ in range(1 << k)]
     for b in ([0] + [rng.randrange(1 << 400) for _ in rows], w << 300):
         bi = b if isinstance(b, list) else [b] * (len(rows) + 1)
